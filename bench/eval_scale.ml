@@ -1,19 +1,13 @@
-(* eval_scale: sequential vs parallel evaluation kernel across graph
-   sizes and domain counts.
+(* eval_scale: the evaluation kernel against its predecessor across
+   graph sizes.
 
-   Two comparisons, both against the same city graphs and Q3:
-
-   - kernel:   the pre-flat-index list-based BFS (a faithful bench-local
-     copy of the old kernel) vs the shared flat-index/bitset kernel at
-     domains=1 — the cache-tightness win, independent of parallelism;
-   - scaling:  the shared kernel at domains 1/2/4 with the default
-     fallback threshold — the multicore win. On a single-core host the
-     pool can only add overhead, so speedup_vs_seq ~ 1.0 there; the
-     committed BENCH_eval.json records the host's domain count so the
-     numbers read honestly.
-
-   Every configuration is checked for agreement with every other before
-   a single timing is reported. Timings are best-of-3 wall clock.
+   On city graphs of growing size and Q3, the pre-flat-index list-based
+   BFS (a faithful bench-local copy of the old kernel) is timed against
+   the shared flat-index/bitset kernel — the cache-tightness win. Both
+   must select the same nodes before a single timing is reported.
+   Timings are best-of-3 wall clock. The document opens with its host
+   block (cores, OCaml version, commit), so a committed BENCH_eval.json
+   is only ever compared with one from the same host.
 
    GPS_EVAL_SCALE=tiny shrinks the size ladder for CI smoke runs. *)
 
@@ -78,12 +72,21 @@ let best_of n f =
   done;
   !best
 
+(* The checkout's commit, "-dirty" when the tree has uncommitted
+   changes; "unknown" outside a git checkout. *)
+let commit () =
+  match Unix.open_process_in "git describe --always --dirty --abbrev=12 2>/dev/null" with
+  | ic ->
+      let line = try input_line ic with End_of_file -> "" in
+      ignore (Unix.close_process_in ic);
+      if line = "" then "unknown" else line
+  | exception Unix.Unix_error _ -> "unknown"
+
 let run () =
   let tiny =
     match Sys.getenv_opt "GPS_EVAL_SCALE" with Some "tiny" -> true | _ -> false
   in
   let sizes = if tiny then [ 20; 50 ] else [ 50; 200; 800; 3200 ] in
-  let domain_counts = [ 1; 2; 4 ] in
   let repeats = if tiny then 1 else 3 in
   let goal = Workloads.q "(tram+bus)*.cinema" in
   let rows =
@@ -92,33 +95,10 @@ let run () =
         let w = Workloads.city ~districts ~seed:8 in
         let g = w.Workloads.graph in
         let csr = Csr.freeze g in
-        let reference = legacy_select g goal in
-        let check tag sel =
-          if sel <> reference then
-            failwith (Printf.sprintf "eval_scale: %s disagrees on %s" tag w.Workloads.name)
-        in
-        check "seq" (Eval.select_frozen ~domains:1 g csr goal);
-        List.iter
-          (fun d -> check (Printf.sprintf "par-%d" d) (Eval.select_frozen ~domains:d g csr goal))
-          domain_counts;
+        if Eval.select_frozen g csr goal <> legacy_select g goal then
+          failwith (Printf.sprintf "eval_scale: kernel disagrees on %s" w.Workloads.name);
         let legacy_s = best_of repeats (fun () -> ignore (legacy_select g goal)) in
-        let seq_s =
-          best_of repeats (fun () -> ignore (Eval.select_frozen ~domains:1 g csr goal))
-        in
-        let par =
-          List.map
-            (fun d ->
-              let wall =
-                best_of repeats (fun () -> ignore (Eval.select_frozen ~domains:d g csr goal))
-              in
-              Json.Object
-                [
-                  ("domains", int_j d);
-                  ("wall_s", num wall);
-                  ("speedup_vs_seq", num (seq_s /. wall));
-                ])
-            domain_counts
-        in
+        let kernel_s = best_of repeats (fun () -> ignore (Eval.select_frozen g csr goal)) in
         Json.Object
           [
             ("graph", Json.String w.Workloads.name);
@@ -126,9 +106,8 @@ let run () =
             ("edges", int_j (Digraph.n_edges g));
             ("product_states", int_j (Eval.product_states g goal));
             ("legacy_s", num legacy_s);
-            ("seq_s", num seq_s);
-            ("kernel_speedup", num (legacy_s /. seq_s));
-            ("parallel", Json.Array par);
+            ("kernel_s", num kernel_s);
+            ("kernel_speedup", num (legacy_s /. kernel_s));
           ])
       sizes
   in
@@ -136,8 +115,14 @@ let run () =
     Json.Object
       [
         ("experiment", Json.String "eval_scale");
+        ( "host",
+          Json.Object
+            [
+              ("cores", int_j (Domain.recommended_domain_count ()));
+              ("ocaml", Json.String Sys.ocaml_version);
+              ("commit", Json.String (commit ()));
+            ] );
         ("query", Json.String "(tram+bus)*.cinema");
-        ("host_recommended_domains", int_j (Domain.recommended_domain_count ()));
         ("repeats_best_of", int_j repeats);
         ("sizes", Json.Array rows);
       ]

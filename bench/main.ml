@@ -7,8 +7,7 @@
                                          lstar generalize eval minimize csr
                                          sampled incremental bound
                                          suggestion micro server_dispatch
-                                         baseline eval_scale load_storm ooc
-                                         par_profile)
+                                         baseline eval_scale load_storm ooc)
    dune exec bench/main.exe -- --list    lists experiment ids
 
    Each experiment regenerates one table/figure of DESIGN.md's experiment
@@ -105,7 +104,6 @@ let experiments =
     ("eval_scale", Eval_scale.run);
     ("load_storm", Load_storm.run);
     ("ooc", Ooc.run);
-    ("par_profile", Par_profile.run);
   ]
 
 let () =

@@ -39,23 +39,6 @@ let query_pos n =
   let doc = "Path query in the paper's notation, e.g. '(tram+bus)*.cinema'." in
   Arg.(required & pos n (some string) None & info [] ~docv:"QUERY" ~doc)
 
-(* --domains N: size the evaluation pool for this run. The parallel
-   kernel otherwise sizes itself from GPS_DOMAINS or the runtime's
-   recommended domain count; an explicit flag wins over both. *)
-let domains_arg =
-  let doc =
-    "Number of OCaml domains the parallel evaluation kernel may use (1 disables \
-     parallelism). Overrides the $(b,GPS_DOMAINS) environment variable; default: \
-     the runtime's recommended domain count."
-  in
-  Arg.(value & opt (some int) None & info [ "domains" ] ~docv:"N" ~doc)
-
-let apply_domains = function
-  | None -> ()
-  | Some n ->
-      if n < 1 then or_die (Error "--domains must be >= 1")
-      else Gps.Par.Pool.set_default_domains n
-
 (* --trace FILE: record a JSONL span trace of the whole run. The option
    rides on every command that exercises the engine; 'gps trace summary'
    aggregates the file afterwards. *)
@@ -246,7 +229,7 @@ let query_cmd =
   let explain =
     let doc =
       "Also print the evaluation's EXPLAIN report: automaton and product sizes, per-level \
-       frontier sizes, parallel-vs-sequential level decisions and the stop reason."
+       frontier sizes and the stop reason."
     in
     Arg.(value & flag & info [ "explain" ] ~doc)
   in
@@ -258,19 +241,7 @@ let query_cmd =
     in
     Arg.(value & opt (some float) None & info [ "deadline-ms" ] ~docv:"MS" ~doc)
   in
-  let par_threshold =
-    let doc =
-      "Minimum frontier size for a BFS level to be expanded on the domain pool (smaller \
-       levels run sequentially). Default: 1024. Lowering it with $(b,--explain) makes the \
-       per-level efficiency section observable on small graphs."
-    in
-    Arg.(value & opt (some int) None & info [ "par-threshold" ] ~docv:"N" ~doc)
-  in
-  let run path qs witness explain deadline_ms par_threshold trace domains =
-    apply_domains domains;
-    (* --explain narrates the scheduler too: turn on pool profiling so
-       parallel levels carry per-domain busy/chunk/barrier telemetry *)
-    if explain then Gps.Par.Pool.set_profiling true;
+  let run path qs witness explain deadline_ms trace =
     let g = or_die (load_graph path) in
     let q = or_die (Gps.parse_query qs) in
     with_trace trace @@ fun () ->
@@ -279,7 +250,7 @@ let query_cmd =
       | Some ms -> (
           if ms <= 0. then or_die (Error "--deadline-ms must be positive");
           let deadline = Gps.Obs.Deadline.after_ms ms in
-          match Gps.Query.Eval.select_report_result ?par_threshold ~deadline g q with
+          match Gps.Query.Eval.select_report_result ~deadline g q with
           | Ok (sel, r) -> (sel, if explain then Some r else None)
           | Error { Gps.Query.Eval.reason; partial } ->
               Printf.eprintf "gps: query %s after %g ms (visited %d product states)\n"
@@ -289,9 +260,9 @@ let query_cmd =
               exit 3)
       | None ->
           if explain then
-            let sel, r = Gps.Query.Eval.select_report ?par_threshold g q in
+            let sel, r = Gps.Query.Eval.select_report g q in
             (sel, Some r)
-          else (Gps.Query.Eval.select ?par_threshold g q, None)
+          else (Gps.Query.Eval.select g q, None)
     in
     let selected = List.filter (fun v -> sel.(v)) (List.init (Array.length sel) Fun.id) in
     Printf.printf "%s selects %d node(s)\n" (Gps.Query.Rpq.to_string q) (List.length selected);
@@ -311,8 +282,7 @@ let query_cmd =
   Cmd.v
     (Cmd.info "query" ~doc:"Evaluate a path query")
     Term.(
-      const run $ graph_arg $ query_pos 1 $ witness $ explain $ deadline_ms $ par_threshold
-      $ trace_arg $ domains_arg)
+      const run $ graph_arg $ query_pos 1 $ witness $ explain $ deadline_ms $ trace_arg)
 
 (* ---------------------------------------------------------------- *)
 (* learn *)
@@ -323,8 +293,7 @@ let names_opt name doc =
 let learn_cmd =
   let pos = names_opt "pos" "Comma-separated positive node names." in
   let neg = names_opt "neg" "Comma-separated negative node names." in
-  let run path pos neg trace domains =
-    apply_domains domains;
+  let run path pos neg trace =
     let g = or_die (load_graph path) in
     with_trace trace @@ fun () ->
     match Gps.learn g ~pos ~neg with
@@ -337,7 +306,7 @@ let learn_cmd =
   in
   Cmd.v
     (Cmd.info "learn" ~doc:"Learn a query from labeled nodes (static scenario)")
-    Term.(const run $ graph_arg $ pos $ neg $ trace_arg $ domains_arg)
+    Term.(const run $ graph_arg $ pos $ neg $ trace_arg)
 
 (* ---------------------------------------------------------------- *)
 (* session *)
@@ -460,8 +429,7 @@ let session_cmd =
     let doc = "After an oracle session, explain how every node ended up classified." in
     Arg.(value & flag & info [ "explain" ] ~doc)
   in
-  let run path strategy goal seed budget record replay explain trace domains =
-    apply_domains domains;
+  let run path strategy goal seed budget record replay explain trace =
     let g = or_die (load_graph path) in
     let strategy = or_die (Gps.Interactive.Strategy.by_name ~seed strategy) in
     with_trace trace @@ fun () ->
@@ -540,7 +508,7 @@ let session_cmd =
     (Cmd.info "session" ~doc:"Run the interactive specification scenario")
     Term.(
       const run $ graph_arg $ strategy_arg $ goal $ seed $ budget $ record $ replay $ explain
-      $ trace_arg $ domains_arg)
+      $ trace_arg)
 
 (* ---------------------------------------------------------------- *)
 (* dot *)
@@ -889,52 +857,6 @@ let trace_cmd =
   Cmd.group (Cmd.info "trace" ~doc:"Inspect JSONL span traces") [ summary_cmd; flame_cmd ]
 
 (* ---------------------------------------------------------------- *)
-(* profile: run a query repeatedly and attribute the parallel capacity *)
-
-let profile_cmd =
-  let runs =
-    let doc = "Profiled repetitions aggregated into the attribution (default 5)." in
-    Arg.(value & opt int 5 & info [ "runs" ] ~docv:"N" ~doc)
-  in
-  let par_threshold =
-    let doc =
-      "Minimum frontier size for a BFS level to run on the domain pool. Default: 1024. \
-       Lower it to profile parallel scheduling on small graphs."
-    in
-    Arg.(value & opt (some int) None & info [ "par-threshold" ] ~docv:"N" ~doc)
-  in
-  let json =
-    let doc = "Emit the attribution as JSON (the BENCH_par.json per-size record)." in
-    Arg.(value & flag & info [ "json" ] ~doc)
-  in
-  let run path qs runs par_threshold json domains =
-    if runs < 1 then or_die (Error "--runs must be >= 1");
-    let domains =
-      match domains with
-      | Some n when n >= 2 -> n
-      | Some _ -> or_die (Error "--domains must be >= 2 to profile parallel execution")
-      | None -> max 2 (Gps.Par.Pool.default_domains ())
-    in
-    let g = or_die (load_graph path) in
-    let q = or_die (Gps.parse_query qs) in
-    let source = Gps.Query.Eval.Frozen (g, Gps.Graph.Csr.freeze g) in
-    let r = Gps.Query.Profile.run ~runs ?par_threshold ~domains source q in
-    if json then
-      print_endline (Gps.Graph.Json.value_to_string ~pretty:true (Gps.Query.Profile.result_to_json r))
-    else begin
-      Printf.printf "profile: %s on %s\n\n" (Gps.Query.Rpq.to_string q) path;
-      Format.printf "%a@?" Gps.Query.Profile.pp r
-    end
-  in
-  Cmd.v
-    (Cmd.info "profile"
-       ~doc:
-         "Profile a query's parallel execution: run it N times with scheduler and GC \
-          telemetry on and print an attribution table (compute vs imbalance vs \
-          barrier+wake vs GC vs sequential idle)")
-    Term.(const run $ graph_arg $ query_pos 1 $ runs $ par_threshold $ json $ domains_arg)
-
-(* ---------------------------------------------------------------- *)
 (* metrics: the process/service telemetry, human- or scraper-facing *)
 
 let metrics_cmd =
@@ -1281,8 +1203,6 @@ let top_cmd =
             ("timeouts", "server.timeouts");
             ("slow queries", "server.slow_queries");
             ("audit lines", "audit.emitted");
-            ("eval par levels", "eval.par_levels");
-            ("eval seq fallbacks", "eval.seq_fallbacks");
           ];
         add "  %-20s %10s %10s\n" "cache hit %" (pct (hit_ratio last))
           (pct (avg (fun p -> let r = hit_ratio p in if Float.is_nan r then 0. else r)));
@@ -1314,21 +1234,16 @@ let top_cmd =
             request_hists
         end;
         (* GC / domains panel — present only against a server running
-           with --profile (the gc.* / pool.* / runtime.* families);
-           older or unprofiled servers simply don't grow the section *)
+           with --profile (the gc.* / runtime.* families); older or
+           unprofiled servers simply don't grow the section *)
         let gc_hists =
           List.filter (fun (k, _) -> find_sub k "gc.pause_ns" = Some 0) hists
-        in
-        let pool_busy p =
-          let busy = rate p "pool.busy_ns" and idle = rate p "pool.idle_ns" in
-          if busy +. idle <= 0. then Float.nan else 100. *. busy /. (busy +. idle)
         in
         let has_gc_rates p =
           rate p "gc.minor_collections" > 0. || rate p "gc.major_slices" > 0.
         in
         let domains_live = gauge last "runtime.domains_live" in
-        if gc_hists <> [] || domains_live > 0. || has_gc_rates last
-           || not (Float.is_nan (pool_busy last)) then begin
+        if gc_hists <> [] || domains_live > 0. || has_gc_rates last then begin
           add "\ngc / domains (last interval)\n";
           add "  %-20s %10.0f\n" "domains live" domains_live;
           add "  %-20s %10.1f %10.1f   (last, avg /s)\n" "minor collections"
@@ -1337,8 +1252,6 @@ let top_cmd =
           add "  %-20s %10.1f %10.1f   (last, avg /s)\n" "major slices"
             (rate last "gc.major_slices")
             (avg (fun p -> rate p "gc.major_slices"));
-          add "  %-20s %10s %10s   (last, avg)\n" "pool busy %" (pct (pool_busy last))
-            (pct (avg (fun p -> let b = pool_busy p in if Float.is_nan b then 0. else b)));
           if gc_hists <> [] then begin
             add "  %-26s %8s %8s %8s  (last interval, us)\n" "gc pauses" "count" "p99" "max";
             List.iter
@@ -1384,9 +1297,9 @@ let top_cmd =
     (Cmd.info "top"
        ~doc:
          "Live dashboard for a running server: request/shed/timeout rates, cache hit \
-          ratio, eval level mix, per-endpoint latency percentiles and — against a \
-          server running with --profile — a GC/domains panel (pause tails, collection \
-          rates, pool busy fraction), refreshed from the server's in-process timeseries")
+          ratio, per-endpoint latency percentiles and — against a server running with \
+          --profile — a GC/domains panel (pause tails, collection rates), refreshed from \
+          the server's in-process timeseries")
     Term.(const run $ connect $ once $ interval $ window $ timeout_arg)
 
 (* ---------------------------------------------------------------- *)
@@ -1530,11 +1443,9 @@ let serve_cmd =
   in
   let profile =
     let doc =
-      "Runtime & scheduler observability: subscribe to the OCaml runtime's GC/domain \
-       events (gc_pause_ns histograms, domains_live) and enable per-job pool telemetry \
-       (pool.busy/idle/barrier, wake latency), all flowing through the metrics, \
-       Prometheus and timeseries surfaces; '--explain' query reports grow a per-level \
-       efficiency section. Off by default: the profiling paths cost nothing when \
+      "Runtime observability: subscribe to the OCaml runtime's GC/domain events \
+       (gc_pause_ns histograms, domains_live), flowing through the metrics, Prometheus \
+       and timeseries surfaces. Off by default: the profiling paths cost nothing when \
        disabled."
     in
     Arg.(value & flag & info [ "profile" ] ~doc)
@@ -1558,8 +1469,7 @@ let serve_cmd =
   in
   let run stdio port host preload cache slow_ms deadline_ms deadline_cap_ms max_inflight
       max_frame_bytes io_timeout_s audit audit_sample sample_every prom_compat profile
-      state_dir fsync trace domains =
-    apply_domains domains;
+      state_dir fsync trace =
     let module Srv = Gps.Server.Server in
     let module P = Gps.Server.Protocol in
     (* chaos runs arm fault injection from the environment before any
@@ -1692,7 +1602,7 @@ let serve_cmd =
       const run $ stdio $ port $ host $ preload $ cache $ slow_ms $ deadline_ms
       $ deadline_cap_ms $ max_inflight $ max_frame_bytes $ io_timeout_s $ audit
       $ audit_sample $ sample_every $ prom_compat $ profile $ state_dir $ fsync
-      $ trace_arg $ domains_arg)
+      $ trace_arg)
 
 (* ---------------------------------------------------------------- *)
 
@@ -1704,6 +1614,6 @@ let () =
        (Cmd.group info
           [
             generate_cmd; stats_cmd; query_cmd; learn_cmd; session_cmd; dot_cmd; convert_cmd;
-            graph_cmd; store_cmd; identify_cmd; serve_cmd; trace_cmd; profile_cmd;
+            graph_cmd; store_cmd; identify_cmd; serve_cmd; trace_cmd;
             metrics_cmd; workload_cmd; top_cmd; audit_cmd;
           ]))

@@ -7,7 +7,6 @@ module Interactive = Gps_interactive
 module Viz = Gps_viz
 module Server = Gps_server
 module Obs = Gps_obs
-module Par = Gps_par
 module Workload = Gps_workload
 
 let parse_query = Query.Rpq.of_string

@@ -15,9 +15,6 @@
     - {!Obs} — cross-cutting observability: the monotonic clock, work
       counters/gauges, structured trace spans and their sinks, and
       trace summaries;
-    - {!Par} — the multicore substrate: the Domain-based work pool that
-      parallelizes the evaluation kernel (sized by [GPS_DOMAINS], the
-      CLI's [--domains], or [Domain.recommended_domain_count]);
     - {!Workload} — PathForge-style workload generation (the AQ1–AQ28
       abstract taxonomy, seeded label/anchor instantiation, named JSONL
       mixes) and the open-loop load-storm driver that replays a mix
@@ -40,7 +37,6 @@ module Interactive = Gps_interactive
 module Viz = Gps_viz
 module Server = Gps_server
 module Obs = Gps_obs
-module Par = Gps_par
 module Workload = Gps_workload
 
 (** {1 Queries} *)

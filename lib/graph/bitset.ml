@@ -1,5 +1,3 @@
-module A = Stdlib.Atomic
-
 type t = { bits : Bytes.t; length : int }
 
 let create length =
@@ -47,48 +45,3 @@ let cardinal t =
     total := !total + popcount8.(Char.code (Bytes.unsafe_get t.bits i))
   done;
   !total
-
-module Atomic = struct
-  (* 32 bits per word: the bit shift stays well inside OCaml's 63-bit
-     ints on every backend, and a word is one atomic cell. *)
-  type t = { words : int A.t array; length : int }
-
-  let create length =
-    if length < 0 then invalid_arg "Bitset.Atomic.create: negative length";
-    { words = Array.init ((length + 31) lsr 5) (fun _ -> A.make 0); length }
-
-  let length t = t.length
-
-  let check t i name =
-    if i < 0 || i >= t.length then
-      invalid_arg
-        (Printf.sprintf "Bitset.Atomic.%s: index %d out of range [0, %d)" name i t.length)
-
-  let mem t i =
-    check t i "mem";
-    A.get (Array.unsafe_get t.words (i lsr 5)) land (1 lsl (i land 31)) <> 0
-
-  let test_and_set t i =
-    check t i "test_and_set";
-    let word = Array.unsafe_get t.words (i lsr 5) in
-    let bit = 1 lsl (i land 31) in
-    let rec loop () =
-      let cur = A.get word in
-      if cur land bit <> 0 then false
-      else if A.compare_and_set word cur (cur lor bit) then true
-      else loop ()
-    in
-    loop ()
-
-  let clear t = Array.iter (fun w -> A.set w 0) t.words
-
-  let cardinal t =
-    let total = ref 0 in
-    Array.iter
-      (fun w ->
-        let v = A.get w in
-        total := !total + popcount8.(v land 0xff) + popcount8.((v lsr 8) land 0xff)
-                 + popcount8.((v lsr 16) land 0xff) + popcount8.((v lsr 24) land 0xff))
-      t.words;
-    !total
-end

@@ -6,14 +6,8 @@
     difference between staying cache-resident and not (see the
     [eval_scale] benchmark).
 
-    Two representations share the interface shape:
-
-    - {!t} packs 8 bits per byte into [Bytes]. It is the sequential
-      workhorse: single-threaded use only, no synchronization cost.
-    - {!Atomic} packs 32 bits per [int Atomic.t] word and offers a
-      lock-free {!Atomic.test_and_set} (a compare-and-set retry loop),
-      so concurrent writers from a {!Gps_par.Pool} can claim bits
-      race-free. *)
+    A set packs 8 bits per byte into [Bytes]; single-threaded use only,
+    no synchronization cost. *)
 
 type t
 
@@ -30,32 +24,11 @@ val set : t -> int -> unit
 
 val test_and_set : t -> int -> bool
 (** [test_and_set b i] sets bit [i] and returns whether it was newly set
-    ([false] if it was already present). Not thread-safe — this is the
-    sequential kernel's dedup primitive. *)
+    ([false] if it was already present). This is the evaluation kernel's
+    dedup primitive. *)
 
 val clear : t -> unit
 (** Reset every bit to 0 (the backing store is reused). *)
 
 val cardinal : t -> int
 (** Number of set bits. *)
-
-(** Word-packed bitset with a lock-free test-and-set. Memory ordering:
-    a successful [test_and_set] is an [Atomic.compare_and_set], so bits
-    published by one domain are visible to any domain that subsequently
-    synchronizes (e.g. through {!Gps_par.Pool.run} completion). *)
-module Atomic : sig
-  type t
-
-  val create : int -> t
-  val length : t -> int
-  val mem : t -> int -> bool
-
-  val test_and_set : t -> int -> bool
-  (** Atomically sets bit [i]; [true] iff this caller set it (exactly one
-      of any number of racing callers wins). *)
-
-  val clear : t -> unit
-  (** Not atomic as a whole — callers must quiesce writers first. *)
-
-  val cardinal : t -> int
-end

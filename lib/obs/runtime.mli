@@ -19,9 +19,9 @@
     Once started, producers (the GC itself) write to lock-free
     per-domain rings; the cost of consumption is borne entirely by
     whoever calls {!poll} (the server wires it into the timeseries
-    sampler tick; [gps profile] polls around each run). If {!poll} is
-    called too rarely the ring wraps and overwritten events are
-    counted in [runtime.events_lost] rather than blocking anyone. *)
+    sampler tick). If {!poll} is called too rarely the ring wraps and
+    overwritten events are counted in [runtime.events_lost] rather
+    than blocking anyone. *)
 
 val start : unit -> bool
 (** Enable runtime events and open a self-monitoring cursor.

@@ -129,7 +129,6 @@ type summary = {
   s_errors : int;
   s_recovered : int;  (* events stamped recovered:true (post-restart window) *)
   s_endpoints : erow list;  (* sorted by endpoint name *)
-  s_exec : erow list;  (* evaluated misses split par vs seq, sorted *)
   s_cache : (string * int) list;  (* cache-state counts, sorted *)
   s_slowest : Json.value list;  (* top-k events by ms desc, id asc *)
 }
@@ -158,18 +157,18 @@ let jbool v k =
   match Json.member k v with Some (Json.Bool b) -> Some b | _ -> None
 
 let summarize ?(top = 5) ?(malformed = 0) events =
-  let by_endpoint = Hashtbl.create 8 and by_exec = Hashtbl.create 4 in
+  let by_endpoint = Hashtbl.create 8 in
   let cache = Hashtbl.create 4 in
   let errors = ref 0 and recovered = ref 0 in
-  let accumulate tbl key ~ok ~ms =
+  let accumulate endpoint ~ok ~ms =
     let count, errs, sum, mx, hist =
-      match Hashtbl.find_opt tbl key with
+      match Hashtbl.find_opt by_endpoint endpoint with
       | Some r -> r
       | None -> (0, 0, 0.0, 0.0, Histogram.create "audit.ms_x1000")
     in
     (* percentile substrate: latencies at microsecond resolution *)
     Histogram.record hist (int_of_float (Float.max 0.0 (ms *. 1000.)));
-    Hashtbl.replace tbl key
+    Hashtbl.replace by_endpoint endpoint
       (count + 1, (errs + if ok then 0 else 1), sum +. ms, Float.max mx ms, hist)
   in
   List.iter
@@ -179,20 +178,14 @@ let summarize ?(top = 5) ?(malformed = 0) events =
       let ms = Option.value ~default:0.0 (jnum ev "ms") in
       if not ok then incr errors;
       if Option.value ~default:false (jbool ev "recovered") then incr recovered;
-      accumulate by_endpoint endpoint ~ok ~ms;
-      (* execution-path split: only evaluated misses carry eval deltas,
-         so [d_par_levels] present classifies the request as having run
-         the parallel kernel path or fallen back to sequential levels *)
-      (match jnum ev "d_par_levels" with
-      | Some pl -> accumulate by_exec (if pl > 0.0 then "par" else "seq") ~ok ~ms
-      | None -> ());
+      accumulate endpoint ~ok ~ms;
       (match jstr ev "cache" with
       | Some state ->
           Hashtbl.replace cache state
             (1 + Option.value ~default:0 (Hashtbl.find_opt cache state))
       | None -> ()))
     events;
-  let rows tbl =
+  let endpoints =
     Hashtbl.fold
       (fun endpoint (count, errs, sum, mx, hist) acc ->
         let s = Histogram.snapshot hist in
@@ -206,11 +199,9 @@ let summarize ?(top = 5) ?(malformed = 0) events =
           e_p99_ms = Histogram.quantile s 0.99 /. 1000.;
         }
         :: acc)
-      tbl []
+      by_endpoint []
     |> List.sort (fun a b -> compare a.e_endpoint b.e_endpoint)
   in
-  let endpoints = rows by_endpoint in
-  let exec = rows by_exec in
   let slowest =
     List.stable_sort
       (fun a b ->
@@ -231,7 +222,6 @@ let summarize ?(top = 5) ?(malformed = 0) events =
     s_errors = !errors;
     s_recovered = !recovered;
     s_endpoints = endpoints;
-    s_exec = exec;
     s_cache = List.sort compare (Hashtbl.fold (fun k v acc -> (k, v) :: acc) cache []);
     s_slowest = slowest;
   }
@@ -262,23 +252,6 @@ let summary_to_json s =
                      ("max_ms", Json.Number (round2 r.e_ms_max));
                    ] ))
              s.s_endpoints) );
-      ( "exec",
-        Json.Object
-          (List.map
-             (fun r ->
-               ( r.e_endpoint,
-                 Json.Object
-                   [
-                     ("count", Json.Number (float_of_int r.e_count));
-                     ("errors", Json.Number (float_of_int r.e_errors));
-                     ("mean_ms", Json.Number
-                        (round2 (if r.e_count = 0 then 0.0
-                                 else r.e_ms_sum /. float_of_int r.e_count)));
-                     ("p50_ms", Json.Number (round2 r.e_p50_ms));
-                     ("p99_ms", Json.Number (round2 r.e_p99_ms));
-                     ("max_ms", Json.Number (round2 r.e_ms_max));
-                   ] ))
-             s.s_exec) );
       ( "cache",
         Json.Object (List.map (fun (k, v) -> (k, Json.Number (float_of_int v))) s.s_cache)
       );
@@ -301,17 +274,6 @@ let pp_summary ppf s =
           (if r.e_count = 0 then 0.0 else r.e_ms_sum /. float_of_int r.e_count)
           r.e_p50_ms r.e_p99_ms r.e_ms_max)
       s.s_endpoints
-  end;
-  if s.s_exec <> [] then begin
-    Fmt.pf ppf "@.%-14s %8s %7s %9s %9s %9s %9s@." "exec path" "count"
-      "errors" "mean ms" "p50 ms" "p99 ms" "max ms";
-    List.iter
-      (fun r ->
-        Fmt.pf ppf "%-14s %8d %7d %9.2f %9.2f %9.2f %9.2f@." r.e_endpoint
-          r.e_count r.e_errors
-          (if r.e_count = 0 then 0.0 else r.e_ms_sum /. float_of_int r.e_count)
-          r.e_p50_ms r.e_p99_ms r.e_ms_max)
-      s.s_exec
   end;
   if s.s_cache <> [] then begin
     Fmt.pf ppf "@.cache:";

@@ -90,12 +90,6 @@ type summary = {
           post-restart sample window after a crash recovery, so a
           latency anomaly there can be attributed to cold caches *)
   s_endpoints : erow list;  (** sorted by endpoint name *)
-  s_exec : erow list;
-      (** latency split by execution path: events carrying a
-          [d_par_levels] delta (evaluated cache misses) land in row
-          ["par"] when the kernel ran parallel levels, ["seq"] when
-          every level fell back sequential; [e_endpoint] holds the
-          path name. Cache hits and non-eval endpoints are excluded. *)
   s_cache : (string * int) list;  (** cache-state counts, sorted *)
   s_slowest : Gps_graph.Json.value list;
       (** top-k raw events by [ms] descending, ties by id ascending *)

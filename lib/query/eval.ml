@@ -2,13 +2,10 @@ module Digraph = Gps_graph.Digraph
 module Csr = Gps_graph.Csr
 module Disk_csr = Gps_graph.Disk_csr
 module Bitset = Gps_graph.Bitset
-module Vec = Gps_graph.Vec
 module Nfa = Gps_automata.Nfa
 module Counter = Gps_obs.Counter
-module Clock = Gps_obs.Clock
 module Trace = Gps_obs.Trace
 module Deadline = Gps_obs.Deadline
-module Pool = Gps_par.Pool
 
 (* Work counters, published once per evaluation (the loops accumulate in
    locals — no per-iteration cost). *)
@@ -16,9 +13,6 @@ let c_runs = Counter.make "eval.runs"
 let c_states = Counter.make "eval.product_states"
 let c_visits = Counter.make "eval.frontier_visits"
 let c_dedup = Counter.make "eval.early_exit_hits"
-let c_domains = Counter.make "eval.domains_used"
-let c_par_levels = Counter.make "eval.par_levels"
-let c_seq_fallbacks = Counter.make "eval.seq_fallbacks"
 let c_cancel_checks = Counter.make "eval.cancel_checks"
 let c_cancelled = Counter.make "eval.cancelled"
 
@@ -27,11 +21,6 @@ let c_cancelled = Counter.make "eval.cancelled"
    cancellation inside one very wide level; 512 visits is a few
    microseconds of work. *)
 let checkpoint_interval = 512
-
-(* Below this frontier size a level is expanded inline: handing a few
-   dozen product states to worker domains costs more than the work, so
-   small interactive graphs never touch the pool. *)
-let default_par_threshold = 1024
 
 (* ------------------------------------------------------------------ *)
 (* The evaluation plan: everything the kernel's inner loop touches, in
@@ -94,67 +83,22 @@ let build_plan ~n ~n_labels ~label_of_name nfa =
 
    Product states are int-encoded as [v * m + q]. Every state enters the
    queue at most once, so a single [n * m] int array doubles as the
-   queue and the level structure: levels are [queue[head, tail)]
-   snapshots, processed level-synchronously. Membership ("an accepting
-   state is reachable from here") is one bit per product state — a
-   {!Bitset.t} sequentially, a {!Bitset.Atomic} when worker domains
-   race on discovery.
-
-   A parallel level splits the frontier into chunks; each chunk claims
-   states with an atomic bit test-and-set and appends its discoveries to
-   a chunk-local buffer, merged into the queue afterwards. The {e set}
-   discovered per level is execution-order independent, so results (and
-   BFS distances) are deterministic for any domain count. *)
-
-type level_stat = { frontier : int; parallel : bool }
-
-(* Per-parallel-level scheduler telemetry, collected only when
-   [Pool.profiling] is on (one clock read per level plus the pool's
-   per-chunk stamps — nothing on the unprofiled path). Arrays are
-   indexed by pool participant: slot 0 is the calling domain. *)
-type level_perf = {
-  lp_level : int;  (* 1-based BFS level, matching [levels] order *)
-  lp_frontier : int;
-  lp_chunks : int;
-  lp_wall_ns : int;  (* whole level expansion, chunk setup + merge included *)
-  lp_barrier_ns : int;  (* caller's wait after finishing its own chunks *)
-  lp_busy_ns : int array;
-  lp_chunks_by : int array;
-  lp_wake_ns : int array;
-}
-
-let level_imbalance lp =
-  let d = Array.length lp.lp_busy_ns in
-  if d = 0 then 1.
-  else begin
-    let sum = Array.fold_left ( + ) 0 lp.lp_busy_ns in
-    let mx = Array.fold_left max 0 lp.lp_busy_ns in
-    if sum <= 0 then 1. else float_of_int mx *. float_of_int d /. float_of_int sum
-  end
-
-let level_busy_frac lp =
-  let d = Array.length lp.lp_busy_ns in
-  if d = 0 || lp.lp_wall_ns <= 0 then 0.
-  else
-    let sum = Array.fold_left ( + ) 0 lp.lp_busy_ns in
-    float_of_int sum /. (float_of_int lp.lp_wall_ns *. float_of_int d)
+   queue and the level structure: a level is the [queue[head, tail)]
+   snapshot taken when it starts. Membership ("an accepting state is
+   reachable from here") is one bit per product state. *)
 
 type stats = {
   visits : int;
   dedup : int;
-  par_levels : int;
-  seq_fallbacks : int;
-  domains_used : int;
-  levels : level_stat list;  (* in BFS order; level 1 is the seed frontier *)
-  perf : level_perf list;  (* parallel levels only; empty unless profiling *)
+  levels : int list;  (* frontier size per level, BFS order; level 1 is the seed *)
   discovered : int;  (* distinct product states that entered the queue *)
   cancel_checks : int;  (* deadline polls performed *)
   interrupted : Deadline.reason option;  (* [Some _] iff the BFS stopped early *)
 }
 
 (* The kernel is abstract over how in-edges are iterated. Each backing
-   instantiates the functor once, so the expansion loops below
-   specialize per backing at compile time — per edge the mapped file
+   instantiates the functor once, so the expansion loop below
+   specializes per backing at compile time — per edge the mapped file
    costs exactly what the heap CSR costs: an offset probe, a cell read
    and the closure call that already existed. *)
 module type ADJACENCY = sig
@@ -165,208 +109,86 @@ module type ADJACENCY = sig
 end
 
 module Make_kernel (A : ADJACENCY) = struct
-  let run ~domains ~par_threshold ~want_dist ~deadline plan adj =
-  let { n; m; rev_off; rev_src; finals; _ } = plan in
-  let size = n * m in
-  let pool = if domains > 1 then Some (Pool.get domains) else None in
-  let tas, mem =
-    match pool with
-    | None ->
-        let b = Bitset.create size in
-        (Bitset.test_and_set b, Bitset.mem b)
-    | Some _ ->
-        let b = Bitset.Atomic.create size in
-        (Bitset.Atomic.test_and_set b, Bitset.Atomic.mem b)
-  in
-  let dist = if want_dist then Some (Array.make (max size 1) (-1)) else None in
-  let set_dist =
-    match dist with Some d -> fun idx level -> d.(idx) <- level | None -> fun _ _ -> ()
-  in
-  let queue = Array.make (max size 1) 0 in
-  let head = ref 0 and tail = ref 0 in
-  (* seed: every accepting product state, at distance 0 *)
-  for v = 0 to n - 1 do
-    List.iter
-      (fun qf ->
-        let idx = (v * m) + qf in
-        if tas idx then begin
-          set_dist idx 0;
-          queue.(!tail) <- idx;
-          incr tail
-        end)
-      finals
-  done;
-  let visits = ref 0 and dedup = ref 0 in
-  let par_levels = ref 0 and seq_fallbacks = ref 0 in
-  (* Cooperative cancellation: [istop] is the cross-domain stop request,
-     set by whichever loop observes the deadline first. [guarded] keeps
-     the no-deadline hot path at one bool test per visit — the clock is
-     never read and [istop] can never flip, so the loops below degenerate
-     to their original shape. Deadline polls happen at every level
-     boundary and every [checkpoint_interval] visits within a level;
-     [checks] totals them for the EXPLAIN report. *)
-  let guarded = not (Deadline.is_none deadline) in
-  let istop : Deadline.reason option Atomic.t = Atomic.make None in
-  let checks = ref 0 in
-  let poll () =
-    incr checks;
-    match Deadline.check deadline with
-    | Some r -> Atomic.set istop (Some r)
-    | None -> ()
-  in
-  let stopping () = guarded && Atomic.get istop <> None in
-  (* expand queue.(i): push the product-BFS predecessors of (v', q') *)
-  let expand_seq lo hi level =
-    let i = ref lo in
-    let since = ref 0 in
-    while !i < hi && not (stopping ()) do
-      (if guarded then begin
-         incr since;
-         if !since >= checkpoint_interval then begin
-           since := 0;
-           poll ()
-         end
-       end);
-      let idx = queue.(!i) in
-      let v' = idx / m and q' = idx mod m in
-      A.iter_in adj v' (fun lbl v ->
-          let key = (lbl * m) + q' in
-          for k = rev_off.(key) to rev_off.(key + 1) - 1 do
-            let pidx = (v * m) + rev_src.(k) in
-            if tas pidx then begin
-              set_dist pidx level;
-              queue.(!tail) <- pidx;
-              incr tail
-            end
-            else incr dedup
-          done);
-      incr i
-    done;
-    visits := !visits + (!i - lo)
-  in
-  let expand_par p lo hi level =
-    let count = hi - lo in
-    let chunks = min (Pool.size p * 2) (max 1 (count / 128)) in
-    let chunk_len = (count + chunks - 1) / chunks in
-    let buffers = Array.init chunks (fun _ -> Vec.create ()) in
-    let dedups = Array.make chunks 0 in
-    let expanded = Array.make chunks 0 in
-    let local_checks = Array.make chunks 0 in
-    let job_stats =
-      Pool.run_stats p ~chunks (fun c ->
-        let clo = lo + (c * chunk_len) in
-        let chi = min hi (clo + chunk_len) in
-        let buf = buffers.(c) in
-        let local_dedup = ref 0 in
-        let i = ref clo in
-        let since = ref 0 in
-        let polls = ref 0 in
-        (* every chunk polls independently; the first to see the deadline
-           fire publishes through [istop] and the rest bail at their next
-           visit *)
-        while !i < chi && not (stopping ()) do
-          (if guarded then begin
-             incr since;
-             if !since >= checkpoint_interval then begin
-               since := 0;
-               incr polls;
-               match Deadline.check deadline with
-               | Some r -> Atomic.set istop (Some r)
-               | None -> ()
-             end
-           end);
-          let idx = queue.(!i) in
-          let v' = idx / m and q' = idx mod m in
-          A.iter_in adj v' (fun lbl v ->
-              let key = (lbl * m) + q' in
-              for k = rev_off.(key) to rev_off.(key + 1) - 1 do
-                let pidx = (v * m) + rev_src.(k) in
-                (* the atomic test-and-set is the merge: exactly one
-                   chunk wins each newly discovered state *)
-                if tas pidx then begin
-                  set_dist pidx level;
-                  ignore (Vec.push buf pidx)
-                end
-                else incr local_dedup
-              done);
-          incr i
-        done;
-          dedups.(c) <- !local_dedup;
-          expanded.(c) <- !i - clo;
-          local_checks.(c) <- !polls)
+  let run ~want_dist ~deadline plan adj =
+    let { n; m; rev_off; rev_src; finals; _ } = plan in
+    let size = n * m in
+    let mem = Bitset.create size in
+    let dist = if want_dist then Some (Array.make (max size 1) (-1)) else None in
+    let set_dist =
+      match dist with Some d -> fun idx level -> d.(idx) <- level | None -> fun _ _ -> ()
     in
-    Array.iter
-      (fun buf ->
-        Vec.iter
-          (fun idx ->
+    let queue = Array.make (max size 1) 0 in
+    let head = ref 0 and tail = ref 0 in
+    (* seed: every accepting product state, at distance 0 *)
+    for v = 0 to n - 1 do
+      List.iter
+        (fun qf ->
+          let idx = (v * m) + qf in
+          if Bitset.test_and_set mem idx then begin
+            set_dist idx 0;
             queue.(!tail) <- idx;
-            incr tail)
-          buf)
-      buffers;
-    Array.iter (fun d -> dedup := !dedup + d) dedups;
-    Array.iter (fun e -> visits := !visits + e) expanded;
-    Array.iter (fun k -> checks := !checks + k) local_checks;
-    (chunks, job_stats)
-  in
-  let level = ref 0 in
-  let level_stats = ref [] in
-  let perf = ref [] in
-  if guarded then poll ();
-  while !head < !tail && not (stopping ()) do
-    incr level;
-    let lo = !head and hi = !tail in
-    head := hi;
-    let parallel =
-      match pool with
-      | Some p when hi - lo >= par_threshold ->
-          incr par_levels;
-          (* one clock read per level, and only when profiling is on *)
-          let profiled = Pool.profiling () in
-          let t0 = if profiled then Clock.now_ns () else 0L in
-          let chunks, job_stats = expand_par p lo hi !level in
-          (match job_stats with
-          | Some js when profiled ->
-              let wall = Int64.to_int (Int64.sub (Clock.now_ns ()) t0) in
-              perf :=
-                {
-                  lp_level = !level;
-                  lp_frontier = hi - lo;
-                  lp_chunks = chunks;
-                  lp_wall_ns = max wall js.Pool.job_wall_ns;
-                  lp_barrier_ns = js.Pool.job_barrier_ns;
-                  lp_busy_ns = Array.map (fun w -> w.Pool.busy_ns) js.Pool.workers;
-                  lp_chunks_by = Array.map (fun w -> w.Pool.chunks) js.Pool.workers;
-                  lp_wake_ns = Array.map (fun w -> w.Pool.wake_ns) js.Pool.workers;
-                }
-                :: !perf
-          | _ -> ());
-          true
-      | Some _ ->
-          incr seq_fallbacks;
-          expand_seq lo hi !level;
-          false
-      | None ->
-          expand_seq lo hi !level;
-          false
+            incr tail
+          end)
+        finals
+    done;
+    let dedup = ref 0 in
+    (* Cooperative cancellation. [guarded] keeps the no-deadline hot path
+       at one bool test per visit — the clock is never read and
+       [interrupted] can never flip. Deadline polls happen at every level
+       boundary and every [checkpoint_interval] visits within a level;
+       [checks] totals them for the EXPLAIN report. *)
+    let guarded = not (Deadline.is_none deadline) in
+    let interrupted = ref None in
+    let checks = ref 0 in
+    let poll () =
+      incr checks;
+      match Deadline.check deadline with Some _ as r -> interrupted := r | None -> ()
     in
-    level_stats := { frontier = hi - lo; parallel } :: !level_stats;
-    if guarded then poll ()
-  done;
-  let stats =
-    {
-      visits = !visits;
-      dedup = !dedup;
-      par_levels = !par_levels;
-      seq_fallbacks = !seq_fallbacks;
-      domains_used = (if !par_levels > 0 then domains else 1);
-      levels = List.rev !level_stats;
-      perf = List.rev !perf;
-      discovered = !tail;
-      cancel_checks = !checks;
-      interrupted = Atomic.get istop;
-    }
-  in
-  (mem, dist, stats)
+    let stopping () = guarded && Option.is_some !interrupted in
+    let level = ref 0 and levels = ref [] in
+    if guarded then poll ();
+    while !head < !tail && not (stopping ()) do
+      incr level;
+      let hi = !tail in
+      levels := (hi - !head) :: !levels;
+      let since = ref 0 in
+      (* expand queue.(head): push the product-BFS predecessors of (v', q') *)
+      while !head < hi && not (stopping ()) do
+        (if guarded then begin
+           incr since;
+           if !since >= checkpoint_interval then begin
+             since := 0;
+             poll ()
+           end
+         end);
+        let idx = queue.(!head) in
+        let v' = idx / m and q' = idx mod m in
+        A.iter_in adj v' (fun lbl v ->
+            let key = (lbl * m) + q' in
+            for k = rev_off.(key) to rev_off.(key + 1) - 1 do
+              let pidx = (v * m) + rev_src.(k) in
+              if Bitset.test_and_set mem pidx then begin
+                set_dist pidx !level;
+                queue.(!tail) <- pidx;
+                incr tail
+              end
+              else incr dedup
+            done);
+        incr head
+      done;
+      if guarded then poll ()
+    done;
+    let stats =
+      {
+        visits = !head;
+        dedup = !dedup;
+        levels = List.rev !levels;
+        discovered = !tail;
+        cancel_checks = !checks;
+        interrupted = !interrupted;
+      }
+    in
+    (mem, dist, stats)
 end
 
 module Heap_kernel = Make_kernel (struct
@@ -428,28 +250,23 @@ let plan_of_source source nfa =
       build_plan ~n:(Disk_csr.n_nodes view) ~n_labels:(Disk_csr.n_labels view)
         ~label_of_name:(Disk_csr.label_of_name view) nfa
 
-let run_on_source ~domains ~par_threshold ~want_dist ~deadline plan = function
-  | Frozen (_, csr) -> Heap_kernel.run ~domains ~par_threshold ~want_dist ~deadline plan csr
+let run_on_source ~want_dist ~deadline plan = function
+  | Frozen (_, csr) -> Heap_kernel.run ~want_dist ~deadline plan csr
   | Mapped view ->
       if Disk_csr.overlay_is_empty view then
-        Base_kernel.run ~domains ~par_threshold ~want_dist ~deadline plan
+        Base_kernel.run ~want_dist ~deadline plan
           { Base_adj.off = Disk_csr.base_in_off view; cells = Disk_csr.base_in_cells view }
-      else View_kernel.run ~domains ~par_threshold ~want_dist ~deadline plan view
+      else View_kernel.run ~want_dist ~deadline plan view
 
 (* Run the kernel and publish counters/span attributes — the shared tail
    of every public entry point. *)
-let kernel sp ?domains ?par_threshold ?(deadline = Deadline.none) ~want_dist source nfa =
-  let domains = match domains with Some d -> max 1 d | None -> Pool.default_domains () in
-  let par_threshold = Option.value par_threshold ~default:default_par_threshold in
+let kernel sp ~deadline ~want_dist source nfa =
   let plan = plan_of_source source nfa in
-  let mem, dist, stats = run_on_source ~domains ~par_threshold ~want_dist ~deadline plan source in
+  let mem, dist, stats = run_on_source ~want_dist ~deadline plan source in
   Counter.incr c_runs;
   Counter.add c_states (plan.n * plan.m);
   Counter.add c_visits stats.visits;
   Counter.add c_dedup stats.dedup;
-  Counter.add c_domains stats.domains_used;
-  Counter.add c_par_levels stats.par_levels;
-  Counter.add c_seq_fallbacks stats.seq_fallbacks;
   Counter.add c_cancel_checks stats.cancel_checks;
   (match stats.interrupted with
   | Some r ->
@@ -459,15 +276,13 @@ let kernel sp ?domains ?par_threshold ?(deadline = Deadline.none) ~want_dist sou
   Trace.set_int sp "product_states" (plan.n * plan.m);
   Trace.set_int sp "frontier_visits" stats.visits;
   Trace.set_int sp "early_exit_hits" stats.dedup;
-  Trace.set_int sp "domains_used" stats.domains_used;
-  Trace.set_int sp "par_levels" stats.par_levels;
   (plan, mem, dist, stats)
 
 let selected_of_mem plan mem =
   let { n; m; starts; _ } = plan in
   let selected = Array.make n false in
   for v = 0 to n - 1 do
-    selected.(v) <- List.exists (fun q0 -> mem ((v * m) + q0)) starts
+    selected.(v) <- List.exists (fun q0 -> Bitset.mem mem ((v * m) + q0)) starts
   done;
   selected
 
@@ -489,12 +304,7 @@ type report = {
   early_exit_hits : int;
   par_levels : int;
   seq_fallbacks : int;
-  domains_used : int;
-  par_threshold : int;
-  report_levels : level_stat list;
-  efficiency : level_perf list;
-      (* per-parallel-level scheduler telemetry; empty unless pool
-         profiling was on during the run *)
+  report_levels : int list;
   stop : stop_reason;
   selected : int;  (* nodes the query selects *)
 }
@@ -514,24 +324,21 @@ let stop_reason_of_string = function
   | "cancelled" -> Ok Cancelled
   | other -> Error (Printf.sprintf "unknown stop reason %S" other)
 
-let empty_report ~automaton_states ~graph_nodes ~par_threshold =
+let empty_report ~graph_nodes =
   {
-    automaton_states;
+    automaton_states = 0;
     graph_nodes;
-    product_states = automaton_states * graph_nodes;
+    product_states = 0;
     frontier_visits = 0;
     early_exit_hits = 0;
     par_levels = 0;
     seq_fallbacks = 0;
-    domains_used = 1;
-    par_threshold;
     report_levels = [];
-    efficiency = [];
     stop = Empty_automaton;
     selected = 0;
   }
 
-let report_of_stats plan ~par_threshold ~selected (stats : stats) =
+let report_of_stats plan ~selected (stats : stats) =
   let size = plan.n * plan.m in
   {
     automaton_states = plan.m;
@@ -539,12 +346,9 @@ let report_of_stats plan ~par_threshold ~selected (stats : stats) =
     product_states = size;
     frontier_visits = stats.visits;
     early_exit_hits = stats.dedup;
-    par_levels = stats.par_levels;
-    seq_fallbacks = stats.seq_fallbacks;
-    domains_used = stats.domains_used;
-    par_threshold;
+    par_levels = 0;
+    seq_fallbacks = 0;
     report_levels = stats.levels;
-    efficiency = stats.perf;
     stop =
       (match stats.interrupted with
       | Some Deadline.Timed_out -> Timed_out
@@ -556,52 +360,6 @@ let report_of_stats plan ~par_threshold ~selected (stats : stats) =
 
 module Json = Gps_graph.Json
 
-let level_perf_to_json lp =
-  let int n = Json.Number (float_of_int n) in
-  let ints a = Json.Array (Array.to_list (Array.map (fun n -> int n) a)) in
-  Json.Object
-    [
-      ("level", int lp.lp_level);
-      ("frontier", int lp.lp_frontier);
-      ("chunks", int lp.lp_chunks);
-      ("wall_ns", int lp.lp_wall_ns);
-      ("barrier_ns", int lp.lp_barrier_ns);
-      ("busy_ns", ints lp.lp_busy_ns);
-      ("chunks_by", ints lp.lp_chunks_by);
-      ("wake_ns", ints lp.lp_wake_ns);
-      (* derived, for consumers; decoding ignores them *)
-      ("imbalance", Json.Number (level_imbalance lp));
-      ("busy_frac", Json.Number (level_busy_frac lp));
-    ]
-
-let level_perf_of_json item =
-  let ( let* ) = Result.bind in
-  let int_field name =
-    match Json.member name item with
-    | Some (Json.Number f) when Float.is_integer f -> Ok (int_of_float f)
-    | _ -> Error (Printf.sprintf "efficiency field %S missing or not an integer" name)
-  in
-  let ints_field name =
-    match Json.member name item with
-    | Some (Json.Array items) ->
-        let rec go acc = function
-          | [] -> Ok (Array.of_list (List.rev acc))
-          | Json.Number f :: rest when Float.is_integer f -> go (int_of_float f :: acc) rest
-          | _ -> Error (Printf.sprintf "efficiency field %S must hold integers" name)
-        in
-        go [] items
-    | _ -> Error (Printf.sprintf "efficiency field %S missing or not an array" name)
-  in
-  let* lp_level = int_field "level" in
-  let* lp_frontier = int_field "frontier" in
-  let* lp_chunks = int_field "chunks" in
-  let* lp_wall_ns = int_field "wall_ns" in
-  let* lp_barrier_ns = int_field "barrier_ns" in
-  let* lp_busy_ns = ints_field "busy_ns" in
-  let* lp_chunks_by = ints_field "chunks_by" in
-  let* lp_wake_ns = ints_field "wake_ns" in
-  Ok { lp_level; lp_frontier; lp_chunks; lp_wall_ns; lp_barrier_ns; lp_busy_ns; lp_chunks_by; lp_wake_ns }
-
 let report_to_json r =
   let int n = Json.Number (float_of_int n) in
   Json.Object
@@ -611,18 +369,10 @@ let report_to_json r =
       ("product_states", int r.product_states);
       ("frontier_visits", int r.frontier_visits);
       ("early_exit_hits", int r.early_exit_hits);
-      ("par_levels", int r.par_levels);
-      ("seq_fallbacks", int r.seq_fallbacks);
-      ("domains_used", int r.domains_used);
-      ("par_threshold", int r.par_threshold);
       ( "levels",
         Json.Array
-          (List.map
-             (fun l ->
-               Json.Object
-                 [ ("frontier", int l.frontier); ("parallel", Json.Bool l.parallel) ])
-             r.report_levels) );
-      ("efficiency", Json.Array (List.map level_perf_to_json r.efficiency));
+          (List.map (fun frontier -> Json.Object [ ("frontier", int frontier) ]) r.report_levels)
+      );
       ("stop", Json.String (stop_reason_to_string r.stop));
       ("selected", int r.selected);
     ]
@@ -639,10 +389,6 @@ let report_of_json v =
   let* product_states = int_field "product_states" in
   let* frontier_visits = int_field "frontier_visits" in
   let* early_exit_hits = int_field "early_exit_hits" in
-  let* par_levels = int_field "par_levels" in
-  let* seq_fallbacks = int_field "seq_fallbacks" in
-  let* domains_used = int_field "domains_used" in
-  let* par_threshold = int_field "par_threshold" in
   let* selected = int_field "selected" in
   let* stop =
     match Json.member "stop" v with
@@ -655,28 +401,12 @@ let report_of_json v =
         let rec go acc = function
           | [] -> Ok (List.rev acc)
           | item :: rest -> (
-              match (Json.member "frontier" item, Json.member "parallel" item) with
-              | Some (Json.Number f), Some (Json.Bool parallel) when Float.is_integer f ->
-                  go ({ frontier = int_of_float f; parallel } :: acc) rest
-              | _ -> Error "level entries need integer \"frontier\" and boolean \"parallel\"")
+              match Json.member "frontier" item with
+              | Some (Json.Number f) when Float.is_integer f -> go (int_of_float f :: acc) rest
+              | _ -> Error "level entries need an integer \"frontier\"")
         in
         go [] items
     | _ -> Error "report field \"levels\" missing or not an array"
-  in
-  (* absent in payloads from older servers: decode as empty *)
-  let* efficiency =
-    match Json.member "efficiency" v with
-    | None -> Ok []
-    | Some (Json.Array items) ->
-        let rec go acc = function
-          | [] -> Ok (List.rev acc)
-          | item :: rest -> (
-              match level_perf_of_json item with
-              | Ok lp -> go (lp :: acc) rest
-              | Error e -> Error e)
-        in
-        go [] items
-    | Some _ -> Error "report field \"efficiency\" must be an array"
   in
   Ok
     {
@@ -685,22 +415,16 @@ let report_of_json v =
       product_states;
       frontier_visits;
       early_exit_hits;
-      par_levels;
-      seq_fallbacks;
-      domains_used;
-      par_threshold;
+      par_levels = 0;
+      seq_fallbacks = 0;
       report_levels;
-      efficiency;
       stop;
       selected;
     }
 
 let pp_report ppf r =
   let levels =
-    String.concat " "
-      (List.mapi
-         (fun i l -> Printf.sprintf "%d:%d%s" (i + 1) l.frontier (if l.parallel then "p" else "s"))
-         r.report_levels)
+    String.concat " " (List.mapi (fun i f -> Printf.sprintf "%d:%d" (i + 1) f) r.report_levels)
   in
   Format.fprintf ppf
     "automaton states   %d@\n\
@@ -709,150 +433,78 @@ let pp_report ppf r =
      frontier visits    %d@\n\
      early-exit hits    %d@\n\
      levels             %d (%s)@\n\
-     parallel levels    %d (seq fallbacks %d, threshold %d)@\n\
-     domains used       %d@\n\
      stop reason        %s@\n\
      selected nodes     %d@\n"
     r.automaton_states r.graph_nodes r.product_states r.frontier_visits r.early_exit_hits
     (List.length r.report_levels)
     (if levels = "" then "-" else levels)
-    r.par_levels r.seq_fallbacks r.par_threshold r.domains_used
     (stop_reason_to_string r.stop)
-    r.selected;
-  if r.efficiency <> [] then begin
-    let ms ns = float_of_int ns /. 1e6 in
-    Format.fprintf ppf "parallel efficiency (per level; busy%% = sum busy / (wall x domains))@\n";
-    List.iter
-      (fun lp ->
-        let per_domain =
-          String.concat "/"
-            (Array.to_list
-               (Array.map
-                  (fun b ->
-                    if lp.lp_wall_ns <= 0 then "-"
-                    else Printf.sprintf "%.0f%%" (100. *. float_of_int b /. float_of_int lp.lp_wall_ns))
-                  lp.lp_busy_ns))
-        in
-        let chunks_by =
-          String.concat "/" (Array.to_list (Array.map string_of_int lp.lp_chunks_by))
-        in
-        Format.fprintf ppf
-          "  level %-3d frontier %-8d chunks %d (%s)  wall %.3fms  busy %.0f%% (%s)  imbalance %.2f  barrier %.3fms@\n"
-          lp.lp_level lp.lp_frontier lp.lp_chunks chunks_by (ms lp.lp_wall_ns)
-          (100. *. level_busy_frac lp)
-          per_domain (level_imbalance lp) (ms lp.lp_barrier_ns))
-      r.efficiency
-  end
+    r.selected
 
 (* ------------------------------------------------------------------ *)
 (* public entry points — all route through the one kernel *)
 
-let select_source_nfa sp ?domains ?par_threshold source nfa =
-  if Nfa.n_states nfa = 0 then Array.make (source_nodes source) false
-  else begin
-    let plan, mem, _, _ = kernel sp ?domains ?par_threshold ~want_dist:false source nfa in
-    selected_of_mem plan mem
-  end
-
-let select_frozen_nfa sp ?domains ?par_threshold g csr nfa =
-  select_source_nfa sp ?domains ?par_threshold (Frozen (g, csr)) nfa
+type interrupted = { reason : Deadline.reason; partial : report }
 
 let count_selected sel = Array.fold_left (fun acc b -> if b then acc + 1 else acc) 0 sel
 
-let select_source_report_nfa sp ?domains ?par_threshold source nfa =
-  let threshold = Option.value par_threshold ~default:default_par_threshold in
+(* Evaluate [nfa] on [source]: the selection, the EXPLAIN report of the
+   run and, if the deadline fired, why it stopped. *)
+let evaluate sp ~deadline source nfa =
   if Nfa.n_states nfa = 0 then
-    ( Array.make (source_nodes source) false,
-      empty_report ~automaton_states:0 ~graph_nodes:(source_nodes source)
-        ~par_threshold:threshold )
+    let n = source_nodes source in
+    (Array.make n false, empty_report ~graph_nodes:n, None)
   else begin
-    let plan, mem, _, stats = kernel sp ?domains ?par_threshold ~want_dist:false source nfa in
+    let plan, mem, _, stats = kernel sp ~deadline ~want_dist:false source nfa in
     let sel = selected_of_mem plan mem in
-    (sel, report_of_stats plan ~par_threshold:threshold ~selected:(count_selected sel) stats)
+    (sel, report_of_stats plan ~selected:(count_selected sel) stats, stats.interrupted)
   end
 
-let select_frozen_report_nfa sp ?domains ?par_threshold g csr nfa =
-  select_source_report_nfa sp ?domains ?par_threshold (Frozen (g, csr)) nfa
+let selection sp source nfa =
+  let sel, _, _ = evaluate sp ~deadline:Deadline.none source nfa in
+  sel
 
-let select_nfa ?domains ?par_threshold g nfa =
-  Trace.with_span "eval.select" @@ fun sp ->
-  select_frozen_nfa sp ?domains ?par_threshold g (Csr.freeze g) nfa
-
-let select ?domains ?par_threshold g q = select_nfa ?domains ?par_threshold g (Rpq.nfa q)
-
-let select_frozen ?domains ?par_threshold g csr q =
-  Trace.with_span "eval.select_frozen" @@ fun sp ->
-  select_frozen_nfa sp ?domains ?par_threshold g csr (Rpq.nfa q)
-
-let select_report ?domains ?par_threshold g q =
-  Trace.with_span "eval.select" @@ fun sp ->
-  select_frozen_report_nfa sp ?domains ?par_threshold g (Csr.freeze g) (Rpq.nfa q)
-
-let select_frozen_report ?domains ?par_threshold g csr q =
-  Trace.with_span "eval.select_frozen" @@ fun sp ->
-  select_frozen_report_nfa sp ?domains ?par_threshold g csr (Rpq.nfa q)
-
-(* ------------------------------------------------------------------ *)
-(* deadline-aware entry points: same kernel, typed early-stop outcome *)
-
-type interrupted = { reason : Deadline.reason; partial : report }
-
-let run_result sp ?domains ?par_threshold ~deadline source nfa =
-  let threshold = Option.value par_threshold ~default:default_par_threshold in
-  if Nfa.n_states nfa = 0 then
-    Ok
-      ( Array.make (source_nodes source) false,
-        empty_report ~automaton_states:0 ~graph_nodes:(source_nodes source)
-          ~par_threshold:threshold )
-  else begin
-    let plan, mem, _, stats =
-      kernel sp ?domains ?par_threshold ~deadline ~want_dist:false source nfa
-    in
-    let sel = selected_of_mem plan mem in
-    let report =
-      report_of_stats plan ~par_threshold:threshold ~selected:(count_selected sel) stats
-    in
-    match stats.interrupted with
-    | None -> Ok (sel, report)
-    | Some reason -> Error { reason; partial = report }
-  end
-
-let select_frozen_report_result ?domains ?par_threshold ?(deadline = Deadline.none) g csr q =
-  Trace.with_span "eval.select_frozen" @@ fun sp ->
-  run_result sp ?domains ?par_threshold ~deadline (Frozen (g, csr)) (Rpq.nfa q)
-
-let select_report_result ?domains ?par_threshold ?(deadline = Deadline.none) g q =
-  Trace.with_span "eval.select" @@ fun sp ->
-  run_result sp ?domains ?par_threshold ~deadline (Frozen (g, Csr.freeze g)) (Rpq.nfa q)
-
-(* --- mapped / source-generic entry points ------------------------- *)
+let as_result (sel, report, interrupted) =
+  match interrupted with
+  | None -> Ok (sel, report)
+  | Some reason -> Error { reason; partial = report }
 
 let source_span = function
   | Frozen _ -> "eval.select_frozen"
   | Mapped _ -> "eval.select_mapped"
 
-let select_source_report_result ?domains ?par_threshold ?(deadline = Deadline.none) source q =
+let select_nfa g nfa =
+  Trace.with_span "eval.select" @@ fun sp -> selection sp (Frozen (g, Csr.freeze g)) nfa
+
+let select ?domains:_ g q = select_nfa g (Rpq.nfa q)
+
+let select_source source q =
+  Trace.with_span (source_span source) @@ fun sp -> selection sp source (Rpq.nfa q)
+
+let select_frozen g csr q = select_source (Frozen (g, csr)) q
+let select_mapped view q = select_source (Mapped view) q
+
+let select_report g q =
+  Trace.with_span "eval.select" @@ fun sp ->
+  let sel, report, _ = evaluate sp ~deadline:Deadline.none (Frozen (g, Csr.freeze g)) (Rpq.nfa q) in
+  (sel, report)
+
+let select_report_result ?(deadline = Deadline.none) g q =
+  Trace.with_span "eval.select" @@ fun sp ->
+  as_result (evaluate sp ~deadline (Frozen (g, Csr.freeze g)) (Rpq.nfa q))
+
+let select_source_report_result ?(deadline = Deadline.none) source q =
   Trace.with_span (source_span source) @@ fun sp ->
-  run_result sp ?domains ?par_threshold ~deadline source (Rpq.nfa q)
+  as_result (evaluate sp ~deadline source (Rpq.nfa q))
 
-let select_mapped ?domains ?par_threshold view q =
-  Trace.with_span "eval.select_mapped" @@ fun sp ->
-  select_source_nfa sp ?domains ?par_threshold (Mapped view) (Rpq.nfa q)
+let select_frozen_result ?deadline g csr q =
+  Result.map fst (select_source_report_result ?deadline (Frozen (g, csr)) q)
 
-let select_mapped_report ?domains ?par_threshold view q =
-  Trace.with_span "eval.select_mapped" @@ fun sp ->
-  select_source_report_nfa sp ?domains ?par_threshold (Mapped view) (Rpq.nfa q)
+let select_result ?deadline g q = Result.map fst (select_report_result ?deadline g q)
 
-let select_frozen_result ?domains ?par_threshold ?deadline g csr q =
-  Result.map fst (select_frozen_report_result ?domains ?par_threshold ?deadline g csr q)
-
-let select_result ?domains ?par_threshold ?deadline g q =
-  Result.map fst (select_report_result ?domains ?par_threshold ?deadline g q)
-
-let select_via_dfa ?domains ?par_threshold g q =
+let select_via_dfa g q =
   let module Dfa = Gps_automata.Dfa in
-  select_nfa ?domains ?par_threshold g
-    (Dfa.to_nfa (Dfa.minimize (Dfa.determinize (Rpq.nfa q))))
+  select_nfa g (Dfa.to_nfa (Dfa.minimize (Dfa.determinize (Rpq.nfa q))))
 
 let select_nodes g q =
   let sel = select g q in
@@ -866,7 +518,7 @@ let consistent g q ~pos ~neg =
 
 let count g q = List.length (select_nodes g q)
 
-let witness_lengths ?domains ?par_threshold g q =
+let witness_lengths g q =
   Trace.with_span "eval.witness_lengths" @@ fun sp ->
   let nfa = Rpq.nfa q in
   let n = Digraph.n_nodes g and m = Nfa.n_states nfa in
@@ -874,7 +526,7 @@ let witness_lengths ?domains ?par_threshold g q =
   if m = 0 then result
   else begin
     let plan, _, dist, _ =
-      kernel sp ?domains ?par_threshold ~want_dist:true (Frozen (g, Csr.freeze g)) nfa
+      kernel sp ~deadline:Deadline.none ~want_dist:true (Frozen (g, Csr.freeze g)) nfa
     in
     let dist = Option.get dist in
     for v = 0 to n - 1 do

@@ -10,34 +10,22 @@
 
     {2 The kernel}
 
-    Every entry point below routes through one shared, cache-tight
-    kernel: a frozen {!Gps_graph.Csr} adjacency snapshot, a flat
-    CSR-style reverse transition index keyed by [(label, state)] (no
-    per-edge transition-list filtering), {!Gps_graph.Bitset} membership
-    tables (one bit per product state), and int-encoded product states
-    in a flat array queue. The BFS is level-synchronous: when the
-    default {!Gps_par.Pool} has more than one domain and a level's
-    frontier is large enough, the level is expanded in parallel chunks
-    merged with atomic bit test-and-set; smaller frontiers (and pools of
-    size 1) take the sequential path, so interactive-scale graphs pay
-    nothing for the machinery. Results are deterministic for any domain
-    count.
+    Every entry point below routes through one shared, cache-tight,
+    sequential kernel: a frozen {!Gps_graph.Csr} adjacency snapshot, a
+    flat CSR-style reverse transition index keyed by [(label, state)]
+    (no per-edge transition-list filtering), a {!Gps_graph.Bitset}
+    membership table (one bit per product state), and int-encoded
+    product states in a flat array queue. The BFS is level-synchronous,
+    so every report narrates its frontier level by level. *)
 
-    The [?domains] and [?par_threshold] parameters override the pool
-    size ({!Gps_par.Pool.default_domains}) and the sequential-fallback
-    frontier threshold for one call — benchmarks and the equivalence
-    test-suite use them; normal callers leave both defaulted. *)
+val select : ?domains:int -> Gps_graph.Digraph.t -> Rpq.t -> bool array
+(** [select g q].(v) iff [q] selects node [v].
 
-val select : ?domains:int -> ?par_threshold:int -> Gps_graph.Digraph.t -> Rpq.t -> bool array
-(** [select g q].(v) iff [q] selects node [v]. *)
+    [?domains] is accepted and ignored: a compatibility shim for
+    [perfbench/_ocaml/inputs.ml], which passes [~domains:1]. Remove it
+    in the next benchmark change, together with that argument. *)
 
-val select_frozen :
-  ?domains:int ->
-  ?par_threshold:int ->
-  Gps_graph.Digraph.t ->
-  Gps_graph.Csr.t ->
-  Rpq.t ->
-  bool array
+val select_frozen : Gps_graph.Digraph.t -> Gps_graph.Csr.t -> Rpq.t -> bool array
 (** Same answer over a prebuilt {!Gps_graph.Csr} snapshot of the same
     graph (passed alongside for label-name resolution) — skips the
     per-call freeze, the right entry point for repeated evaluation
@@ -48,39 +36,9 @@ val select_frozen :
 (** {2 EXPLAIN reports}
 
     Each evaluation can narrate itself: how big the product was, how the
-    BFS frontier evolved level by level, which levels ran in parallel,
-    and why the search stopped. The server's [explain] field and
-    [gps query --explain] are both rendered from this record. *)
-
-type level_stat = { frontier : int; parallel : bool }
-(** One BFS level: frontier size and whether it was expanded by the
-    domain pool ([parallel = false] is the sequential fallback). Level 1
-    is the accepting-state seed frontier. *)
-
-type level_perf = {
-  lp_level : int;  (** 1-based BFS level, matching [report_levels] order *)
-  lp_frontier : int;
-  lp_chunks : int;
-  lp_wall_ns : int;  (** whole level expansion: chunk setup, pool job, merge *)
-  lp_barrier_ns : int;  (** the caller's wait after finishing its own chunks *)
-  lp_busy_ns : int array;  (** per pool participant; slot 0 is the caller *)
-  lp_chunks_by : int array;
-  lp_wake_ns : int array;  (** wake-to-first-claim latency per participant *)
-}
-(** Scheduler telemetry for one {e parallel} level, present only when
-    {!Gps_par.Pool.profiling} was on during the run ([gps query
-    --explain] and [gps profile] turn it on; otherwise collection is
-    skipped entirely — not a single extra clock read). *)
-
-val level_imbalance : level_perf -> float
-(** max busy / mean busy over participants, in [[1, domains]]; 1.0 is a
-    perfectly balanced level, [domains] is one participant doing all
-    the work. 1.0 when nothing was measured. *)
-
-val level_busy_frac : level_perf -> float
-(** sum busy / (wall × domains), in [[0, 1]]: the fraction of the
-    level's parallel capacity spent inside chunk bodies. The rest is
-    wake latency, barrier wait, chunk setup and frontier merge. *)
+    BFS frontier evolved level by level, and why the search stopped. The
+    server's [explain] field and [gps query --explain] are both rendered
+    from this record. *)
 
 type stop_reason =
   | Empty_automaton  (** the query automaton has no states — nothing to run *)
@@ -96,33 +54,21 @@ type report = {
   frontier_visits : int;  (** product states expanded (queue pops) *)
   early_exit_hits : int;  (** re-discoveries skipped by the membership bitset *)
   par_levels : int;
-  seq_fallbacks : int;  (** levels under [par_threshold] with a pool available *)
-  domains_used : int;
-  par_threshold : int;
-  report_levels : level_stat list;  (** in BFS order *)
-  efficiency : level_perf list;
-      (** parallel levels only, BFS order; [[]] unless pool profiling
-          was on (older servers' wire payloads also decode to [[]]) *)
+  seq_fallbacks : int;
+      (** [par_levels] and [seq_fallbacks] are always 0 and are not
+          encoded: a compatibility shim for [perfbench/_ocaml/traced.ml],
+          which sums them. Remove both in the next benchmark change,
+          together with its [eval.par_levels]/[eval.seq_fallbacks]
+          metrics. *)
+  report_levels : int list;
+      (** frontier size per BFS level, in BFS order; level 1 is the
+          accepting-state seed frontier *)
   stop : stop_reason;
   selected : int;  (** how many nodes the query selects *)
 }
 
-val select_report :
-  ?domains:int ->
-  ?par_threshold:int ->
-  Gps_graph.Digraph.t ->
-  Rpq.t ->
-  bool array * report
+val select_report : Gps_graph.Digraph.t -> Rpq.t -> bool array * report
 (** {!select}, plus the report of the evaluation that produced it. *)
-
-val select_frozen_report :
-  ?domains:int ->
-  ?par_threshold:int ->
-  Gps_graph.Digraph.t ->
-  Gps_graph.Csr.t ->
-  Rpq.t ->
-  bool array * report
-(** {!select_frozen}, plus its report. *)
 
 val stop_reason_to_string : stop_reason -> string
 (** ["empty-automaton"], ["saturated"], ["frontier-exhausted"],
@@ -134,28 +80,23 @@ val stop_reason_of_string : string -> (stop_reason, string) result
 
     The [_result] entry points take a {!Gps_obs.Deadline} token and poll
     it cooperatively — once per BFS level and every few hundred frontier
-    visits inside a level, including inside parallel pool chunks. When it
-    fires they stop promptly and return [Error] carrying the reason and
-    the {e partial} EXPLAIN report of the work done so far (its [stop]
-    field is [Timed_out]/[Cancelled], its [selected] count is the
-    under-approximation discovered before the stop). Without a deadline
-    ([Gps_obs.Deadline.none], the default) they are equivalent to their
-    plain counterparts and the kernel's hot path is unchanged up to one
-    branch per visit. *)
+    visits inside a level. When it fires they stop promptly and return
+    [Error] carrying the reason and the {e partial} EXPLAIN report of
+    the work done so far (its [stop] field is [Timed_out]/[Cancelled],
+    its [selected] count is the under-approximation discovered before
+    the stop). Without a deadline ([Gps_obs.Deadline.none], the default)
+    they are equivalent to their plain counterparts and the kernel's hot
+    path is unchanged up to one branch per visit. *)
 
 type interrupted = { reason : Gps_obs.Deadline.reason; partial : report }
 
 val select_result :
-  ?domains:int ->
-  ?par_threshold:int ->
   ?deadline:Gps_obs.Deadline.t ->
   Gps_graph.Digraph.t ->
   Rpq.t ->
   (bool array, interrupted) result
 
 val select_frozen_result :
-  ?domains:int ->
-  ?par_threshold:int ->
   ?deadline:Gps_obs.Deadline.t ->
   Gps_graph.Digraph.t ->
   Gps_graph.Csr.t ->
@@ -163,19 +104,8 @@ val select_frozen_result :
   (bool array, interrupted) result
 
 val select_report_result :
-  ?domains:int ->
-  ?par_threshold:int ->
   ?deadline:Gps_obs.Deadline.t ->
   Gps_graph.Digraph.t ->
-  Rpq.t ->
-  (bool array * report, interrupted) result
-
-val select_frozen_report_result :
-  ?domains:int ->
-  ?par_threshold:int ->
-  ?deadline:Gps_obs.Deadline.t ->
-  Gps_graph.Digraph.t ->
-  Gps_graph.Csr.t ->
   Rpq.t ->
   (bool array * report, interrupted) result
 
@@ -196,38 +126,28 @@ type source =
   | Mapped of Gps_graph.Disk_csr.view
       (** An mmap-backed packed graph, delta overlay included. *)
 
-val select_mapped :
-  ?domains:int -> ?par_threshold:int -> Gps_graph.Disk_csr.view -> Rpq.t -> bool array
+val select_mapped : Gps_graph.Disk_csr.view -> Rpq.t -> bool array
 (** {!select} against a mapped view; index [v] of the result is the
     node with id [v] (overlay nodes included, past the base count). *)
 
-val select_mapped_report :
-  ?domains:int ->
-  ?par_threshold:int ->
-  Gps_graph.Disk_csr.view ->
-  Rpq.t ->
-  bool array * report
-
 val select_source_report_result :
-  ?domains:int ->
-  ?par_threshold:int ->
   ?deadline:Gps_obs.Deadline.t ->
   source ->
   Rpq.t ->
   (bool array * report, interrupted) result
 (** The backing-generic entry point the server routes through: same
-    kernel, same deadline semantics as {!select_frozen_report_result}. *)
+    kernel, same deadline semantics as {!select_report_result}. *)
 
 val report_to_json : report -> Gps_graph.Json.value
 val report_of_json : Gps_graph.Json.value -> (report, string) result
-(** Total codec: [report_of_json (report_to_json r) = Ok r]. *)
+(** Total codec: [report_of_json (report_to_json r) = Ok r] for every
+    report the kernel produces. *)
 
 val pp_report : Format.formatter -> report -> unit
 (** An aligned key/value block for terminals; levels render as
-    ["1:12p 2:40s"] (index:frontier, [p]arallel / [s]equential). *)
+    ["1:12 2:40"] (index:frontier). *)
 
-val select_via_dfa :
-  ?domains:int -> ?par_threshold:int -> Gps_graph.Digraph.t -> Rpq.t -> bool array
+val select_via_dfa : Gps_graph.Digraph.t -> Rpq.t -> bool array
 (** Same answer computed against the determinized-and-minimized query
     automaton instead of the NFA. A smaller automaton shrinks the product,
     but determinization can blow the automaton up — the [--exp eval]
@@ -251,8 +171,7 @@ val consistent :
 
 val count : Gps_graph.Digraph.t -> Rpq.t -> int
 
-val witness_lengths :
-  ?domains:int -> ?par_threshold:int -> Gps_graph.Digraph.t -> Rpq.t -> int option array
+val witness_lengths : Gps_graph.Digraph.t -> Rpq.t -> int option array
 (** Per node, the length of its shortest witness word ([None] when not
     selected) — all nodes in one backward BFS (the same kernel, with
     per-level distances), used to rank answers by how direct they are.

@@ -4,7 +4,6 @@
 
 module Rpq = Rpq
 module Eval = Eval
-module Profile = Profile
 module Pathlang = Pathlang
 module Witness = Witness
 module Metrics = Metrics

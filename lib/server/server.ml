@@ -158,14 +158,10 @@ let create ?(config = default_config) () =
           (1e9 *. Option.value ~default:1.0 config.sample_every_s);
     }
   in
-  (* --profile: pool-level scheduler telemetry on every parallel eval,
-     plus GC/domain events from the runtime's ring. Both feed the
+  (* --profile: GC/domain events from the runtime's ring. They feed the
      ordinary registries, so Prom exposition, timeseries windows and
      [gps top] pick them up with no further wiring. *)
-  if config.profile then begin
-    ignore (Gps_obs.Runtime.start ());
-    Gps_par.Pool.set_profiling true
-  end;
+  if config.profile then ignore (Gps_obs.Runtime.start ());
   (match config.sample_every_s with
   | Some interval_s when interval_s > 0.0 ->
       (* every sample sees fresh level gauges, drained runtime events
@@ -255,9 +251,6 @@ let audited_eval_counters =
   [
     ("d_product_states", Counter.make "eval.product_states");
     ("d_frontier_visits", Counter.make "eval.frontier_visits");
-    ("d_par_levels", Counter.make "eval.par_levels");
-    ("d_seq_fallbacks", Counter.make "eval.seq_fallbacks");
-    ("d_domains_used", Counter.make "eval.domains_used");
   ]
 
 let ev_set_cache ev verdict =

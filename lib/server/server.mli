@@ -68,14 +68,11 @@ type config = {
           ([_p50]/[_p90]/[_p99]/[_mean]) from the Prometheus endpoint,
           for one release of dashboard overlap *)
   profile : bool;
-      (** runtime & scheduler observability ([gps serve --profile]):
-          start {!Gps_obs.Runtime} (GC pause histograms, domain
-          lifecycle) with events drained on each sampler tick, and
-          enable {!Gps_par.Pool} per-job telemetry, so [gc.*] and
-          [pool.*] families carry data in the metrics/Prometheus/
-          timeseries surfaces and [--explain] reports grow their
-          per-level efficiency section. Off (the default) costs
-          zero on every path. *)
+      (** runtime observability ([gps serve --profile]): start
+          {!Gps_obs.Runtime} (GC pause histograms, domain lifecycle)
+          with events drained on each sampler tick, so the [gc.*]
+          families carry data in the metrics/Prometheus/timeseries
+          surfaces. Off (the default) costs zero on every path. *)
   state_dir : string option;
       (** session durability ([gps serve --state-dir DIR]): journal
           every acknowledged session mutation to a per-session

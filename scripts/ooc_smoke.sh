@@ -54,7 +54,7 @@ echo "== serve it mapped (under $((SERVE_VMEM_KB / 1024)) MB vmem)"
 (
   ulimit -v "$SERVE_VMEM_KB"
   ulimit -s 2048
-  GPS_DOMAINS=1 OCAMLRUNPARAM=s=64k \
+  OCAMLRUNPARAM=s=64k \
     exec "$CLI" serve --port "$PORT" --cache 2 --load "big=$DIR/big.csr"
 ) &
 SERVER_PID=$!

@@ -36,6 +36,45 @@ let test_vec_fold_order () =
   check_int "fold" 6 (Vec.fold ( + ) 0 v)
 
 (* -------------------------------------------------------------------- *)
+(* Bitset *)
+
+let test_bitset_basic () =
+  let b = Bitset.create 100 in
+  check_int "length" 100 (Bitset.length b);
+  check_int "empty" 0 (Bitset.cardinal b);
+  check "nothing member" false (Bitset.mem b 0);
+  Bitset.set b 42;
+  check "42 in" true (Bitset.mem b 42);
+  check "41 out" false (Bitset.mem b 41);
+  check_int "one bit" 1 (Bitset.cardinal b)
+
+let test_bitset_word_boundaries () =
+  (* indices straddling byte (8) and word (32) packing edges *)
+  let n = 100 in
+  let b = Bitset.create n in
+  let edges = [ 0; 7; 8; 15; 16; 31; 32; 33; 63; 64; n - 1 ] in
+  List.iter (fun i -> check ("tas fresh " ^ string_of_int i) true (Bitset.test_and_set b i)) edges;
+  List.iter
+    (fun i -> check ("tas again " ^ string_of_int i) false (Bitset.test_and_set b i))
+    edges;
+  check_int "cardinal = distinct edges" (List.length edges) (Bitset.cardinal b);
+  for i = 0 to n - 1 do
+    check ("mem " ^ string_of_int i) (List.mem i edges) (Bitset.mem b i)
+  done;
+  Bitset.clear b;
+  check_int "clear empties" 0 (Bitset.cardinal b);
+  check "cleared bit" false (Bitset.mem b 32)
+
+let test_bitset_bounds () =
+  let b = Bitset.create 10 in
+  let raises f = match f () with () -> false | exception Invalid_argument _ -> true in
+  check "mem -1" true (raises (fun () -> ignore (Bitset.mem b (-1))));
+  check "set 10" true (raises (fun () -> Bitset.set b 10));
+  check "tas 11" true (raises (fun () -> ignore (Bitset.test_and_set b 11)));
+  check "negative create" true (raises (fun () -> ignore (Bitset.create (-1))));
+  check "zero-length ok" true (Bitset.cardinal (Bitset.create 0) = 0)
+
+(* -------------------------------------------------------------------- *)
 (* Symtab *)
 
 let test_symtab_roundtrip () =
@@ -493,6 +532,12 @@ let suite =
         t "set" test_vec_set;
         t "bounds" test_vec_bounds;
         t "fold order" test_vec_fold_order;
+      ] );
+    ( "graph.bitset",
+      [
+        t "basic" test_bitset_basic;
+        t "word boundaries" test_bitset_word_boundaries;
+        t "bounds checks" test_bitset_bounds;
       ] );
     ("graph.symtab", [ t "roundtrip" test_symtab_roundtrip ]);
     ( "graph.digraph",

@@ -202,6 +202,50 @@ let test_rpq_of_nfa_roundtrip () =
 (* -------------------------------------------------------------------- *)
 (* Properties: product evaluation vs brute-force path enumeration *)
 
+(* The reference oracle shares no code with the kernel: a forward BFS
+   from (v, r) over (node, Brzozowski derivative) pairs, where an edge
+   u -a-> w leads from (u, d) to (w, derive a d). Node v is selected iff
+   the search reaches a pair whose derivative is nullable, and the depth
+   of the first such pair is its shortest witness length. The search
+   terminates: the smart constructors keep alternations flat, sorted and
+   deduplicated, so a regex has finitely many distinct derivatives. *)
+let reference_lengths g r =
+  let module Regex = Gps_regex.Regex in
+  let module Deriv = Gps_regex.Deriv in
+  Array.init (Digraph.n_nodes g) (fun v ->
+      let seen = Hashtbl.create 64 in
+      let visit (w, d) =
+        if Regex.is_empty_lang d || Hashtbl.mem seen (w, d) then false
+        else begin
+          Hashtbl.add seen (w, d) ();
+          true
+        end
+      in
+      let step (u, d) =
+        List.filter visit
+          (List.map
+             (fun (lbl, w) -> (w, Deriv.derive (Digraph.label_name g lbl) d))
+             (Digraph.out_edges g u))
+      in
+      let rec bfs depth = function
+        | [] -> None
+        | frontier when List.exists (fun (_, d) -> Regex.nullable d) frontier -> Some depth
+        | frontier -> bfs (depth + 1) (List.concat_map step frontier)
+      in
+      bfs 0 (List.filter visit [ (v, r) ]))
+
+(* [f] over a freshly packed, mmapped copy of [g]; the file is removed
+   afterwards. *)
+let with_packed g f =
+  let path = Filename.temp_file "gps_eval" ".csr" in
+  Fun.protect
+    ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
+    (fun () ->
+      Disk_csr.pack_digraph g ~path;
+      match Disk_csr.open_map path with
+      | Ok packed -> f packed
+      | Error e -> Alcotest.failf "open_map: %s" (Disk_csr.open_error_to_string e))
+
 let qcheck_tests =
   let open QCheck in
   let arb_graph =
@@ -236,9 +280,8 @@ let qcheck_tests =
         6)
   in
   let arb_starfree = make ~print:Gps_regex.Regex.to_string gen_regex in
-  (* with star: richer automata (cycles in the product) for the kernel
-     equivalence properties, where select_via_dfa is the oracle and no
-     bounded enumeration is needed *)
+  (* with star: richer automata (cycles in the product), checked against
+     the derivative-search reference, which needs no length bound *)
   let gen_regex_starred =
     Gen.(
       let sym = oneofl [ "a"; "b"; "c" ] in
@@ -262,6 +305,23 @@ let qcheck_tests =
         8)
   in
   let arb_starred = make ~print:Gps_regex.Regex.to_string gen_regex_starred in
+  let arb_small_graph =
+    make
+      Gen.(
+        let* n = int_range 1 6 in
+        let* m = int_range 0 14 in
+        let* seed = int_range 0 10_000 in
+        return (Generators.uniform ~nodes:n ~edges:m ~labels:[ "a"; "b"; "c" ] ~seed))
+  in
+  (* an overlay batch: edges by name, possibly to a node and under a
+     label the packed base does not know *)
+  let arb_batch =
+    make
+      Gen.(
+        let node = map (fun i -> if i = 6 then "fresh" else Printf.sprintf "v%d" i) (int_range 0 6) in
+        list_size (int_range 1 4)
+          (triple node (oneofl [ "a"; "b"; "c"; "d" ]) node))
+  in
   [
     Test.make ~name:"product eval = brute-force on star-free queries" ~count:300
       (pair arb_graph arb_starfree) (fun (g, r) ->
@@ -312,41 +372,37 @@ let qcheck_tests =
         let q1 = Rpq.of_string_exn "a.c" and q2 = Rpq.of_string_exn "a.(b+c)" in
         let s1 = Eval.select g q1 and s2 = Eval.select g q2 in
         Array.for_all Fun.id (Array.mapi (fun i b -> (not b) || s2.(i)) s1));
-    (* -- parallel kernel equivalence ------------------------------------ *)
-    (* par_threshold:0 forces every level down the parallel path, so the
-       multi-domain expansion really runs even on these small graphs. *)
-    Test.make ~name:"parallel select = sequential select = select_via_dfa" ~count:150
-      (pair arb_graph arb_starred) (fun (g, r) ->
+    (* -- every evaluation path against one independent reference -------- *)
+    Test.make ~name:"every evaluation path = derivative-search reference" ~count:250
+      (triple arb_small_graph arb_starred arb_batch) (fun (g, r, batch) ->
         let query = Rpq.of_regex r in
-        let seq = Eval.select ~domains:1 g query in
-        let par = Eval.select ~domains:2 ~par_threshold:0 g query in
-        let dfa = Eval.select_via_dfa g query in
-        par = seq && dfa = seq);
-    Test.make ~name:"select_frozen parallel = select, any domain count" ~count:100
-      (pair arb_graph arb_starred) (fun (g, r) ->
-        let query = Rpq.of_regex r in
-        let expected = Eval.select g query in
-        let csr = Csr.freeze g in
-        List.for_all
-          (fun d -> Eval.select_frozen ~domains:d ~par_threshold:0 g csr query = expected)
-          [ 1; 2; 4 ]);
-    Test.make ~name:"parallel evaluation is deterministic across runs and domains" ~count:100
-      (pair arb_graph arb_starred) (fun (g, r) ->
-        let query = Rpq.of_regex r in
-        let first = Eval.select ~domains:4 ~par_threshold:0 g query in
-        List.for_all
-          (fun d ->
-            Eval.select ~domains:d ~par_threshold:0 g query = first
-            && Eval.select ~domains:d ~par_threshold:0 g query = first)
-          [ 1; 2; 4 ]);
-    Test.make ~name:"witness_lengths parallel = sequential, and matches selection" ~count:100
-      (pair arb_graph arb_starred) (fun (g, r) ->
-        let query = Rpq.of_regex r in
-        let seq = Eval.witness_lengths ~domains:1 g query in
-        let par = Eval.witness_lengths ~domains:2 ~par_threshold:0 g query in
-        let sel = Eval.select g query in
-        par = seq
-        && Array.for_all Fun.id (Array.mapi (fun v d -> (d <> None) = sel.(v)) seq));
+        let lengths = reference_lengths g r in
+        let expected = Array.map Option.is_some lengths in
+        let packed_ok =
+          with_packed g (fun packed ->
+              let base_ok =
+                Eval.select_mapped (Disk_csr.snapshot packed) query = expected
+              in
+              ignore (Disk_csr.add_edges packed batch);
+              let view = Disk_csr.snapshot packed in
+              let g' = Digraph.copy g in
+              List.iter (fun (src, lbl, dst) -> Digraph.link g' src lbl dst) batch;
+              let names sel node_name =
+                List.sort compare
+                  (List.filter_map
+                     (fun v -> if sel.(v) then Some (node_name v) else None)
+                     (List.init (Array.length sel) Fun.id))
+              in
+              base_ok
+              && names (Eval.select_mapped view query) (Disk_csr.node_name view)
+                 = names (Array.map Option.is_some (reference_lengths g' r))
+                     (Digraph.node_name g'))
+        in
+        Eval.select g query = expected
+        && Eval.select_frozen g (Csr.freeze g) query = expected
+        && Eval.select_via_dfa g query = expected
+        && Eval.witness_lengths g query = lengths
+        && packed_ok);
     (* -- explain reports ------------------------------------------------ *)
     Test.make ~name:"select_report agrees with select and survives its JSON codec" ~count:150
       (pair arb_graph arb_starred) (fun (g, r) ->
@@ -358,7 +414,7 @@ let qcheck_tests =
         && report.Eval.graph_nodes = Digraph.n_nodes g
         && report.Eval.product_states
            = report.Eval.graph_nodes * report.Eval.automaton_states
-        && List.for_all (fun l -> l.Eval.frontier > 0) report.Eval.report_levels
+        && List.for_all (fun frontier -> frontier > 0) report.Eval.report_levels
         && (match report.Eval.stop with
            | Eval.Empty_automaton -> report.Eval.report_levels = []
            | Eval.Saturated | Eval.Frontier_exhausted | Eval.Timed_out | Eval.Cancelled ->
@@ -380,10 +436,7 @@ let test_report_figure1 () =
   check_int "product size" (r.Eval.graph_nodes * r.Eval.automaton_states) r.Eval.product_states;
   check "visits cover at least the seeds" true
     (r.Eval.frontier_visits > 0 && r.Eval.report_levels <> []);
-  check "level 1 frontier equals the accepting seeds" true
-    ((List.hd r.Eval.report_levels).Eval.frontier > 0);
-  check "sequential on a toy graph" true
-    (r.Eval.par_levels = 0 && r.Eval.domains_used = 1);
+  check "level 1 frontier equals the accepting seeds" true (List.hd r.Eval.report_levels > 0);
   check "terminal stop reason" true (r.Eval.stop = Eval.Frontier_exhausted);
   (* the pretty-printer mentions the headline numbers *)
   let text = Format.asprintf "%a" Eval.pp_report r in
@@ -425,22 +478,6 @@ let test_report_stop_reasons () =
     ];
   check "unknown stop reason rejected" true
     (Result.is_error (Eval.stop_reason_of_string "gave-up"))
-
-let test_report_parallel_decisions () =
-  let g = Datasets.figure1 () in
-  (* par_threshold:0 with 2 domains forces every level parallel *)
-  let _, r = Eval.select_report ~domains:2 ~par_threshold:0 g (q "(tram+bus)*.cinema") in
-  check "all levels parallel" true
-    (r.Eval.seq_fallbacks = 0 && r.Eval.par_levels = List.length r.Eval.report_levels);
-  check "levels marked parallel" true
-    (List.for_all (fun l -> l.Eval.parallel) r.Eval.report_levels);
-  check_int "threshold echoed" 0 r.Eval.par_threshold;
-  (* a huge threshold forces the sequential fallback on every level *)
-  let _, r = Eval.select_report ~domains:2 ~par_threshold:max_int g (q "(tram+bus)*.cinema") in
-  check "all levels sequential" true
-    (r.Eval.par_levels = 0
-    && r.Eval.seq_fallbacks = List.length r.Eval.report_levels
-    && List.for_all (fun l -> not l.Eval.parallel) r.Eval.report_levels)
 
 let test_report_json_shape () =
   let g = Datasets.figure1 () in
@@ -498,7 +535,6 @@ let suite =
       [
         t "figure1 report" test_report_figure1;
         t "stop reasons" test_report_stop_reasons;
-        t "parallel decisions" test_report_parallel_decisions;
         t "json shape" test_report_json_shape;
       ] );
     ("query.properties", List.map QCheck_alcotest.to_alcotest qcheck_tests);

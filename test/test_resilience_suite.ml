@@ -142,49 +142,36 @@ let test_eval_none_equivalence () =
 
 let test_eval_pre_cancelled () =
   let g = Datasets.figure1 () in
-  List.iter
-    (fun domains ->
-      let tok = D.token () in
-      D.cancel tok;
-      match Eval.select_report_result ~domains ~deadline:tok g (q "(tram+bus)*.cinema") with
-      | Ok _ -> Alcotest.fail "pre-cancelled token must interrupt"
-      | Error { Eval.reason; partial } ->
-          check "reason is Cancelled" true (reason = D.Cancelled);
-          check "partial report carries the stop" true (partial.Eval.stop = Eval.Cancelled);
-          check "under-approximation only" true
-            (partial.Eval.selected <= partial.Eval.graph_nodes))
-    [ 1; 2 ]
+  let tok = D.token () in
+  D.cancel tok;
+  match Eval.select_report_result ~deadline:tok g (q "(tram+bus)*.cinema") with
+  | Ok _ -> Alcotest.fail "pre-cancelled token must interrupt"
+  | Error { Eval.reason; partial } ->
+      check "reason is Cancelled" true (reason = D.Cancelled);
+      check "partial report carries the stop" true (partial.Eval.stop = Eval.Cancelled);
+      check "under-approximation only" true (partial.Eval.selected <= partial.Eval.graph_nodes)
 
 let test_eval_pre_expired () =
   let g = Datasets.figure1 () in
-  List.iter
-    (fun domains ->
-      match
-        Eval.select_report_result ~domains ~deadline:(D.after_ms 0.0) g
-          (q "(tram+bus)*.cinema")
-      with
-      | Ok _ -> Alcotest.fail "pre-expired deadline must interrupt"
-      | Error { Eval.reason; partial } ->
-          check "reason is Timed_out" true (reason = D.Timed_out);
-          check "partial stop is Timed_out" true (partial.Eval.stop = Eval.Timed_out))
-    [ 1; 2 ]
+  match Eval.select_report_result ~deadline:(D.after_ms 0.0) g (q "(tram+bus)*.cinema") with
+  | Ok _ -> Alcotest.fail "pre-expired deadline must interrupt"
+  | Error { Eval.reason; partial } ->
+      check "reason is Timed_out" true (reason = D.Timed_out);
+      check "partial stop is Timed_out" true (partial.Eval.stop = Eval.Timed_out)
 
 (* a deadline orders-of-magnitude under the work's cost terminates the
    evaluation promptly instead of running to completion *)
 let test_eval_prompt_termination () =
   let g = Generators.uniform ~nodes:4000 ~edges:12_000 ~labels:[ "a"; "b"; "c" ] ~seed:7 in
   let heavy = q "(a+b+c)*.(a+b)*.(b+c)*.a" in
-  List.iter
-    (fun domains ->
-      let t0 = Gps_obs.Clock.now_ns () in
-      (match Eval.select_report_result ~domains ~deadline:(D.after_ms 1.0) g heavy with
-      | Error { Eval.reason = D.Timed_out; partial } ->
-          check "partial stop recorded" true (partial.Eval.stop = Eval.Timed_out)
-      | Error { Eval.reason = D.Cancelled; _ } -> Alcotest.fail "nothing cancelled this run"
-      | Ok _ -> () (* a very fast machine may finish inside 1ms; that is not a failure *));
-      let elapsed_s = Gps_obs.Clock.ns_to_s (Gps_obs.Clock.elapsed_ns t0) in
-      check "terminates promptly" true (elapsed_s < 5.0))
-    [ 1; 2 ]
+  let t0 = Gps_obs.Clock.now_ns () in
+  (match Eval.select_report_result ~deadline:(D.after_ms 1.0) g heavy with
+  | Error { Eval.reason = D.Timed_out; partial } ->
+      check "partial stop recorded" true (partial.Eval.stop = Eval.Timed_out)
+  | Error { Eval.reason = D.Cancelled; _ } -> Alcotest.fail "nothing cancelled this run"
+  | Ok _ -> () (* a very fast machine may finish inside 1ms; that is not a failure *));
+  let elapsed_s = Gps_obs.Clock.ns_to_s (Gps_obs.Clock.elapsed_ns t0) in
+  check "terminates promptly" true (elapsed_s < 5.0)
 
 let test_eval_cancel_counters () =
   let g = Datasets.figure1 () in

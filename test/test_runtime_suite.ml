@@ -1,32 +1,16 @@
-(* Tests for the runtime & scheduler observability layer: Obs.Runtime
-   (GC pause histograms off the stdlib Runtime_events ring), the pool's
-   per-job profiling telemetry, and the per-level efficiency section of
-   Eval's explain report.
+(* Tests for Obs.Runtime: GC pause histograms off the stdlib
+   Runtime_events ring.
 
-   The Runtime_events consumer tests are guarded on Runtime.start ()
-   succeeding — a host without a writable ring directory degrades the
-   whole feature to a no-op, and the tests degrade with it. *)
+   The tests are guarded on Runtime.start () succeeding — a host without
+   a writable ring directory degrades the whole feature to a no-op, and
+   the tests degrade with it. *)
 
-open Gps_graph
-open Gps_query
-module Pool = Gps_par.Pool
 module Runtime = Gps_obs.Runtime
 module Counter = Gps_obs.Counter
 module Histogram = Gps_obs.Histogram
 
 let check = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
-
-let q s = Rpq.of_string_exn s
-
-(* run [f] with process-wide profiling forced to [v], restoring after *)
-let with_profiling v f =
-  let was = Pool.profiling () in
-  Pool.set_profiling v;
-  Fun.protect ~finally:(fun () -> Pool.set_profiling was) f
-
-(* -------------------------------------------------------------------- *)
-(* Obs.Runtime: the Runtime_events consumer *)
 
 let test_forced_gc_pauses () =
   if not (Runtime.start ()) then check "ring unavailable: feature degrades to no-op" true true
@@ -67,167 +51,6 @@ let test_runtime_poll_idempotent_when_quiet () =
     check "started stays true" true (Runtime.started ())
   end
 
-(* -------------------------------------------------------------------- *)
-(* Pool profiling telemetry *)
-
-let test_pool_run_stats_basic () =
-  let pool = Pool.get 2 in
-  with_profiling true (fun () ->
-      match Pool.run_stats pool ~chunks:16 (fun _ -> ignore (Sys.opaque_identity (Array.make 256 0))) with
-      | None -> Alcotest.fail "profiling on: stats expected"
-      | Some js ->
-          check_int "one slot per participant" 2 (Array.length js.Pool.workers);
-          let total = Array.fold_left (fun acc w -> acc + w.Pool.chunks) 0 js.Pool.workers in
-          check_int "chunk accounting is exact" 16 total;
-          check "wall covers the job" true (js.Pool.job_wall_ns >= 0);
-          check "barrier non-negative" true (js.Pool.job_barrier_ns >= 0))
-
-let test_pool_run_stats_off_is_none () =
-  let pool = Pool.get 2 in
-  with_profiling false (fun () ->
-      check "profiling off: no stats" true (Pool.run_stats pool ~chunks:8 (fun _ -> ()) = None))
-
-let qcheck_busy_within_wall =
-  QCheck.Test.make ~name:"runtime: per worker, busy + wake <= job wall" ~count:50
-    QCheck.(int_range 1 64)
-    (fun chunks ->
-      let pool = Pool.get 3 in
-      with_profiling true (fun () ->
-          let work = Array.make 64 0 in
-          match
-            Pool.run_stats pool ~chunks (fun c ->
-                for i = 0 to 200 do
-                  work.(c mod 64) <- work.(c mod 64) + i
-                done)
-          with
-          | None -> false
-          | Some js ->
-              Array.length js.Pool.workers = 3
-              && Array.fold_left (fun acc w -> acc + w.Pool.chunks) 0 js.Pool.workers = chunks
-              && Array.for_all
-                   (fun w -> w.Pool.busy_ns + w.Pool.wake_ns <= js.Pool.job_wall_ns)
-                   js.Pool.workers))
-
-let test_pool_concurrent_chunk_accounting () =
-  (* two systhreads hammer the same pool: jobs serialize inside the
-     pool, and every job's accounting must stay exact *)
-  let pool = Pool.get 2 in
-  with_profiling true (fun () ->
-      let failures = Atomic.make 0 in
-      let jobs_per_thread = 10 in
-      let body () =
-        for i = 1 to jobs_per_thread do
-          let chunks = 1 + (i mod 7) in
-          match Pool.run_stats pool ~chunks (fun _ -> ()) with
-          | None -> Atomic.incr failures
-          | Some js ->
-              let total =
-                Array.fold_left (fun acc w -> acc + w.Pool.chunks) 0 js.Pool.workers
-              in
-              if total <> chunks then Atomic.incr failures
-        done
-      in
-      let t1 = Thread.create body () and t2 = Thread.create body () in
-      Thread.join t1;
-      Thread.join t2;
-      check_int "every concurrent job accounted exactly" 0 (Atomic.get failures))
-
-let test_pool_counters_accumulate () =
-  let jobs0 = Counter.value (Counter.make "pool.jobs") in
-  let chunks0 = Counter.value (Counter.make "pool.chunks") in
-  let pool = Pool.get 2 in
-  with_profiling true (fun () -> ignore (Pool.run_stats pool ~chunks:12 (fun _ -> ())));
-  check "pool.jobs advanced" true (Counter.value (Counter.make "pool.jobs") > jobs0);
-  check "pool.chunks advanced by the job" true
-    (Counter.value (Counter.make "pool.chunks") >= chunks0 + 12)
-
-(* -------------------------------------------------------------------- *)
-(* Eval's per-level efficiency section *)
-
-let eval_profiled () =
-  with_profiling true (fun () ->
-      let g = Datasets.figure1 () in
-      let _, r = Eval.select_report ~domains:2 ~par_threshold:0 g (q "(tram+bus)*.cinema") in
-      r)
-
-let test_report_efficiency_end_to_end () =
-  let r = eval_profiled () in
-  check "parallel levels ran" true (r.Eval.par_levels > 0);
-  check "efficiency section populated" true (r.Eval.efficiency <> []);
-  check_int "one entry per parallel level" r.Eval.par_levels (List.length r.Eval.efficiency);
-  List.iter
-    (fun lp ->
-      check "level indexed" true (lp.Eval.lp_level >= 1);
-      check_int "busy per participant" 2 (Array.length lp.Eval.lp_busy_ns);
-      check_int "chunks per participant" 2 (Array.length lp.Eval.lp_chunks_by);
-      check_int "chunk accounting matches the job" lp.Eval.lp_chunks
-        (Array.fold_left ( + ) 0 lp.Eval.lp_chunks_by);
-      check "imbalance >= 1 when work ran" true
-        (Eval.level_imbalance lp >= 1.0 || Array.for_all (( = ) 0) lp.Eval.lp_busy_ns);
-      let bf = Eval.level_busy_frac lp in
-      check "busy fraction in [0, 1]" true (bf >= 0. && bf <= 1.))
-    r.Eval.efficiency;
-  let text = Format.asprintf "%a" Eval.pp_report r in
-  let contains needle =
-    let nh = String.length text and nn = String.length needle in
-    let rec go i = i + nn <= nh && (String.sub text i nn = needle || go (i + 1)) in
-    go 0
-  in
-  check "pp mentions the efficiency section" true (contains "parallel efficiency")
-
-let test_report_efficiency_off_by_default () =
-  with_profiling false (fun () ->
-      let g = Datasets.figure1 () in
-      let _, r = Eval.select_report ~domains:2 ~par_threshold:0 g (q "(tram+bus)*.cinema") in
-      check "no profiling: no efficiency section" true (r.Eval.efficiency = []))
-
-let gen_level_perf =
-  let open QCheck.Gen in
-  let small = int_range 0 1_000_000 in
-  let arr n g = array_size (return n) g in
-  int_range 1 4 >>= fun d ->
-  int_range 1 9 >>= fun level ->
-  int_range 0 500 >>= fun frontier ->
-  int_range 0 32 >>= fun chunks ->
-  small >>= fun wall ->
-  small >>= fun barrier ->
-  arr d small >>= fun busy ->
-  arr d (int_range 0 32) >>= fun chunks_by ->
-  arr d small >>= fun wake ->
-  return
-    {
-      Eval.lp_level = level;
-      lp_frontier = frontier;
-      lp_chunks = chunks;
-      lp_wall_ns = wall;
-      lp_barrier_ns = barrier;
-      lp_busy_ns = busy;
-      lp_chunks_by = chunks_by;
-      lp_wake_ns = wake;
-    }
-
-let qcheck_efficiency_roundtrip =
-  QCheck.Test.make ~name:"runtime: efficiency section survives the report JSON codec" ~count:200
-    (QCheck.make QCheck.Gen.(list_size (int_range 0 6) gen_level_perf))
-    (fun perf ->
-      let g = Datasets.figure1 () in
-      let _, r = Eval.select_report g (q "bus") in
-      let r = { r with Eval.efficiency = perf } in
-      Eval.report_of_json (Eval.report_to_json r) = Ok r)
-
-let test_efficiency_missing_field_decodes_empty () =
-  (* payloads from servers predating the efficiency section decode to [] *)
-  let r = eval_profiled () in
-  let j = Eval.report_to_json r in
-  let stripped =
-    match j with
-    | Json.Object kvs -> Json.Object (List.filter (fun (k, _) -> k <> "efficiency") kvs)
-    | other -> other
-  in
-  match Eval.report_of_json stripped with
-  | Ok r' -> check "missing efficiency decodes to []" true (r'.Eval.efficiency = [])
-  | Error e -> Alcotest.fail ("stripped report must still decode: " ^ e)
-
 let suite =
   let t name f = Alcotest.test_case name `Quick f in
   [
@@ -236,20 +59,4 @@ let suite =
         t "forced GC records pauses and counts" test_forced_gc_pauses;
         t "poll is safe when quiet" test_runtime_poll_idempotent_when_quiet;
       ] );
-    ( "runtime.pool",
-      [
-        t "run_stats basic accounting" test_pool_run_stats_basic;
-        t "profiling off returns None" test_pool_run_stats_off_is_none;
-        t "concurrent jobs account exactly" test_pool_concurrent_chunk_accounting;
-        t "process-wide counters accumulate" test_pool_counters_accumulate;
-      ] );
-    ( "runtime.efficiency",
-      [
-        t "end-to-end explain section" test_report_efficiency_end_to_end;
-        t "off by default" test_report_efficiency_off_by_default;
-        t "missing field decodes empty" test_efficiency_missing_field_decodes_empty;
-      ] );
-    ( "runtime.properties",
-      List.map QCheck_alcotest.to_alcotest [ qcheck_busy_within_wall; qcheck_efficiency_roundtrip ]
-    );
   ]
