@@ -193,7 +193,7 @@ let pruning () =
     datasets
 
 (* ---------------------------------------------------------------- *)
-(* EXP-TIME: scaling of the kernels and of whole sessions *)
+(* EXP-TIME: scaling of the kernels (whole sessions: --exp session_scale) *)
 
 let time_once f =
   let t0 = Sys.time () in
@@ -212,8 +212,7 @@ let time_scaling () =
   rule ();
   print_endline "EXP-TIME  per-operation latency vs graph size (ms; best of 3)";
   rule ();
-  Printf.printf "%7s %7s %10s %12s %12s %12s\n" "|V|" "|E|" "eval(ms)" "witness(ms)"
-    "learn(ms)" "session(ms)";
+  Printf.printf "%7s %7s %10s %12s %12s\n" "|V|" "|E|" "eval(ms)" "witness(ms)" "learn(ms)";
   List.iter
     (fun districts ->
       let ds = city ~districts ~seed:5 in
@@ -233,12 +232,8 @@ let time_scaling () =
       let sample = List.fold_left Sample.add_pos Sample.empty pos in
       let sample = List.fold_left Sample.add_neg sample neg in
       let learn_ms = time_best ~repeat:3 (fun () -> ignore (Learner.learn g sample)) in
-      let session_ms =
-        time_best ~repeat:1 (fun () ->
-            ignore (Simulate.run g ~strategy:Strategy.smart ~user:(Oracle.perfect ~goal)))
-      in
-      Printf.printf "%7d %7d %10.2f %12.2f %12.2f %12.2f\n" (Digraph.n_nodes g)
-        (Digraph.n_edges g) eval_ms witness_ms learn_ms session_ms)
+      Printf.printf "%7d %7d %10.2f %12.2f %12.2f\n" (Digraph.n_nodes g) (Digraph.n_edges g)
+        eval_ms witness_ms learn_ms)
     [ 25; 50; 100; 200; 400 ]
 
 (* ---------------------------------------------------------------- *)
@@ -611,52 +606,6 @@ let csr_ablation () =
       Printf.printf "%7d %7d %12.3f %12.3f %8.1fx\n" (Digraph.n_nodes g) (Digraph.n_edges g)
         lists_ms csr_ms (lists_ms /. csr_ms))
     [ 50; 200; 800; 3200 ]
-
-(* ---------------------------------------------------------------- *)
-(* ABL-SAMPLED: exact smart scoring vs Monte-Carlo sampled scoring *)
-
-let sampled_ablation () =
-  rule ();
-  print_endline
-    "ABL-SAMPLED  exact vs sampled smart strategy (answers / session ms, mean over queries)";
-  rule ();
-  Printf.printf "%-10s %-18s %10s %10s %10s\n" "dataset" "strategy" "answers" "reached"
-    "session(ms)";
-  List.iter
-    (fun districts ->
-      let ds = city ~districts ~seed:4 in
-      let strategies =
-        [
-          ("smart (exact)", fun ~seed:_ -> Strategy.smart);
-          ("sampled-32", fun ~seed -> Strategy.sampled_smart ~seed ~samples:32);
-          ("sampled-8", fun ~seed -> Strategy.sampled_smart ~seed ~samples:8);
-        ]
-      in
-      List.iter
-        (fun (name, strategy) ->
-          let rows =
-            List.filter_map
-              (fun (_, qs) ->
-                let goal = q qs in
-                if Eval.count ds.graph goal = 0 then None
-                else begin
-                  let t0 = Sys.time () in
-                  let r = Gps.Interactive.Batch.run_once ds.graph ~strategy:(strategy ~seed:7) ~goal in
-                  let ms = (Sys.time () -. t0) *. 1000.0 in
-                  Some
-                    ( float_of_int r.Gps.Interactive.Batch.questions,
-                      (if r.Gps.Interactive.Batch.reached_goal then 1.0 else 0.0),
-                      ms )
-                end)
-              city_queries
-          in
-          let avg f = mean (List.map f rows) in
-          Printf.printf "%-10s %-18s %10.1f %10.2f %10.1f\n" ds.name name
-            (avg (fun (a, _, _) -> a))
-            (avg (fun (_, b, _) -> b))
-            (avg (fun (_, _, c) -> c)))
-        strategies)
-    [ 32; 96 ]
 
 (* ---------------------------------------------------------------- *)
 (* ABL-INC: incremental evaluation vs recompute-from-scratch under edge

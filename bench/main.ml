@@ -5,9 +5,10 @@
                                          interactions pruning time f1
                                          pathval static users convergence
                                          lstar generalize eval minimize csr
-                                         sampled incremental bound
+                                         incremental bound
                                          suggestion micro server_dispatch
-                                         baseline eval_scale load_storm ooc)
+                                         baseline eval_scale session_scale
+                                         load_storm ooc)
    dune exec bench/main.exe -- --list    lists experiment ids
 
    Each experiment regenerates one table/figure of DESIGN.md's experiment
@@ -37,9 +38,10 @@ let micro () =
       Test.make ~name:"witness_search (3 negatives)"
         (Staged.stage (fun () ->
              ignore (Gps.Learning.Witness_search.search g (List.hd pos) ~negatives:neg)));
-      Test.make ~name:"informative.score (bound 4)"
+      Test.make ~name:"informative.score (bound 4, fresh scorer)"
         (Staged.stage (fun () ->
-             ignore (Gps.Interactive.Informative.score g ~negatives:neg ~bound:4 (List.hd pos))));
+             let scorer = Gps.Interactive.Informative.create g ~bound:4 in
+             ignore (Gps.Interactive.Informative.score scorer ~negatives:neg (List.hd pos))));
       Test.make ~name:"learner.learn (3+/3-)"
         (Staged.stage (fun () -> ignore (Gps.Learning.Learner.learn g sample)));
       Test.make ~name:"regex.compile (Glushkov)"
@@ -94,7 +96,6 @@ let experiments =
     ("eval", Experiments.eval_ablation);
     ("minimize", Experiments.minimize_ablation);
     ("csr", Experiments.csr_ablation);
-    ("sampled", Experiments.sampled_ablation);
     ("incremental", Experiments.incremental_ablation);
     ("bound", Experiments.bound_ablation);
     ("suggestion", Experiments.suggestion_ablation);
@@ -102,6 +103,7 @@ let experiments =
     ("server_dispatch", Server_bench.run);
     ("baseline", Baseline.run);
     ("eval_scale", Eval_scale.run);
+    ("session_scale", Session_scale.run);
     ("load_storm", Load_storm.run);
     ("ooc", Ooc.run);
   ]

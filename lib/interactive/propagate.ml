@@ -7,15 +7,17 @@ let c_neg = Counter.make "propagate.implied_neg"
 
 let implied_positives g ~word =
   Trace.with_span "propagate.positives" @@ fun sp ->
-  let implied = List.filter (fun v -> Gps_query.Pathlang.covers g [ v ] word) (Digraph.nodes g) in
+  let q = Gps_query.Rpq.of_regex (Gps_regex.Regex.word word) in
+  let sel = Gps_query.Eval.select g q in
+  let implied = List.filter (fun v -> sel.(v)) (Digraph.nodes g) in
   Counter.add c_pos (List.length implied);
   Trace.set_int sp "implied" (List.length implied);
   implied
 
-let implied_negatives g ~negatives ~bound ~among =
+let implied_negatives scorer ~negatives ~among =
   Trace.with_span "propagate.negatives" @@ fun sp ->
   let implied =
-    List.filter (fun v -> not (Informative.is_informative g ~negatives ~bound v)) among
+    List.filter (fun v -> not (Informative.is_informative scorer ~negatives v)) among
   in
   Counter.add c_neg (List.length implied);
   Trace.set_int sp "implied" (List.length implied);

@@ -12,12 +12,13 @@
 
 val implied_positives :
   Gps_graph.Digraph.t -> word:string list -> Gps_graph.Digraph.node list
-(** Nodes having [word] among their paths. *)
+(** Nodes having [word] among their paths: one kernel evaluation of the
+    word as a query. A label the graph lacks implies nothing. *)
 
 val implied_negatives :
-  Gps_graph.Digraph.t ->
+  Informative.t ->
   negatives:Gps_graph.Digraph.node list ->
-  bound:int ->
   among:Gps_graph.Digraph.node list ->
   Gps_graph.Digraph.node list
-(** The members of [among] that are uninformative w.r.t. [negatives]. *)
+(** The members of [among] that are uninformative w.r.t. [negatives],
+    under the scorer's bound. *)

@@ -64,6 +64,7 @@ type t = {
   hypothesis : Rpq.t option;
   pending : request;
   counters : counters;
+  scorer : Informative.t;
 }
 
 let graph t = t.graph
@@ -79,15 +80,17 @@ let empty_query = Rpq.of_regex Gps_regex.Regex.empty
 
 let current_query t = Option.value t.hypothesis ~default:empty_query
 
-let finish t reason = { t with pending = Finished { query = current_query t; reason } }
+(* A finished session asks nothing more: drop the scorer's tables. *)
+let finish t reason =
+  Informative.release t.scorer;
+  { t with pending = Finished { query = current_query t; reason } }
 
 let strategy_context t =
   {
-    Strategy.graph = t.graph;
+    Strategy.scorer = t.scorer;
     excluded =
       (fun v -> Sample.is_labeled t.sample v || Iset.mem v t.implied_pos || Iset.mem v t.implied_neg);
     negatives = Sample.neg t.sample;
-    bound = t.config.bound;
   }
 
 let over_budget t =
@@ -133,8 +136,7 @@ let prune t =
       (Digraph.nodes t.graph)
   in
   let newly =
-    Propagate.implied_negatives t.graph ~negatives:(Sample.neg t.sample) ~bound:t.config.bound
-      ~among:unlabeled
+    Propagate.implied_negatives t.scorer ~negatives:(Sample.neg t.sample) ~among:unlabeled
   in
   Counter.add c_pruned (List.length newly);
   { t with implied_neg = List.fold_left (fun s v -> Iset.add v s) t.implied_neg newly }
@@ -152,6 +154,7 @@ let start ?(config = default_config) ~strategy g =
       hypothesis = None;
       pending = Finished { query = empty_query; reason = No_informative_nodes };
       counters = zero_counters;
+      scorer = Informative.create g ~bound:config.bound;
     }
   in
   next_question t

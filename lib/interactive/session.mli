@@ -52,6 +52,9 @@ type request =
 type t
 
 val start : ?config:config -> strategy:Strategy.t -> Gps_graph.Digraph.t -> t
+(** Every state derived from this one shares one {!Informative.t} scorer,
+    whose caches never change an answer (undo and replay stay exact);
+    its tables are dropped when the session finishes. *)
 
 val request : t -> request
 

@@ -2,10 +2,9 @@ module Digraph = Gps_graph.Digraph
 module Prng = Gps_graph.Prng
 
 type context = {
-  graph : Digraph.t;
+  scorer : Informative.t;
   excluded : Digraph.node -> bool;
   negatives : Digraph.node list;
-  bound : int;
 }
 
 type t = { name : string; choose : context -> Digraph.node option }
@@ -13,9 +12,8 @@ type t = { name : string; choose : context -> Digraph.node option }
 let candidates ctx =
   List.filter
     (fun v ->
-      (not (ctx.excluded v))
-      && Informative.is_informative ctx.graph ~negatives:ctx.negatives ~bound:ctx.bound v)
-    (Digraph.nodes ctx.graph)
+      (not (ctx.excluded v)) && Informative.is_informative ctx.scorer ~negatives:ctx.negatives v)
+    (Digraph.nodes (Informative.graph ctx.scorer))
 
 let random ~seed =
   let rng = Prng.create ~seed in
@@ -29,13 +27,18 @@ let random ~seed =
 let best_by score = function
   | [] -> None
   | c :: cs ->
-      let better best v = if score v > score best then v else best in
-      Some (List.fold_left better c cs)
+      let better (best, s) v =
+        let sv = score v in
+        if sv > s then (v, sv) else (best, s)
+      in
+      Some (fst (List.fold_left better (c, score c) cs))
 
 let max_degree =
   {
     name = "degree";
-    choose = (fun ctx -> best_by (fun v -> Digraph.out_degree ctx.graph v) (candidates ctx));
+    choose =
+      (fun ctx ->
+        best_by (fun v -> Digraph.out_degree (Informative.graph ctx.scorer) v) (candidates ctx));
   }
 
 let smart =
@@ -43,22 +46,7 @@ let smart =
     name = "smart";
     choose =
       (fun ctx ->
-        best_by
-          (fun v -> Informative.score ctx.graph ~negatives:ctx.negatives ~bound:ctx.bound v)
-          (candidates ctx));
-  }
-
-let sampled_smart ~seed ~samples =
-  let rng = Prng.create ~seed in
-  {
-    name = Printf.sprintf "sampled-%d" samples;
-    choose =
-      (fun ctx ->
-        best_by
-          (fun v ->
-            Informative.sampled_score ctx.graph ~negatives:ctx.negatives ~bound:ctx.bound
-              ~samples ~rng v)
-          (candidates ctx));
+        Informative.best ctx.scorer ~negatives:ctx.negatives ~excluded:ctx.excluded);
   }
 
 let sequential =

@@ -16,11 +16,11 @@
       negative node"). *)
 
 type context = {
-  graph : Gps_graph.Digraph.t;
+  scorer : Informative.t;
+      (** the session's scorer: graph, path-length bound and memo *)
   excluded : Gps_graph.Digraph.node -> bool;
       (** labeled or implied nodes, never proposed *)
   negatives : Gps_graph.Digraph.node list;  (** current effective negatives *)
-  bound : int;                              (** path-length bound for scoring *)
 }
 
 type t = { name : string; choose : context -> Gps_graph.Digraph.node option }
@@ -30,13 +30,8 @@ type t = { name : string; choose : context -> Gps_graph.Digraph.node option }
 val random : seed:int -> t
 val max_degree : t
 val smart : t
-
-val sampled_smart : seed:int -> samples:int -> t
-(** Monte-Carlo variant of {!smart}: scores candidates by
-    {!Informative.sampled_score} with [samples] random walks instead of
-    exhaustive word enumeration. Trades proposal quality for per-question
-    latency on large graphs — quantified by the [--exp sampled]
-    benchmark. *)
+(** {!Informative.best}: the highest-scoring candidate, lowest node id
+    among ties. *)
 
 val sequential : t
 (** Lowest node id first — a deterministic worst-ish baseline
@@ -47,4 +42,7 @@ val by_name : seed:int -> string -> (t, string) result
 
 val candidates : context -> Gps_graph.Digraph.node list
 (** The informative, unlabeled, un-implied nodes (what all strategies
-    choose from). *)
+    choose from), ascending. *)
+
+val best_by : ('a -> int) -> 'a list -> 'a option
+(** The first element of highest score; each element is scored once. *)

@@ -4,6 +4,7 @@
     consistency checker. *)
 
 module Sample = Sample
+module Subset = Subset
 module Witness_search = Witness_search
 module Rpni = Rpni
 module Learner = Learner

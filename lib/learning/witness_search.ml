@@ -1,5 +1,4 @@
 module Digraph = Gps_graph.Digraph
-module Iset = Set.Make (Int)
 module Counter = Gps_obs.Counter
 module Trace = Gps_obs.Trace
 
@@ -9,52 +8,53 @@ let c_searches = Counter.make "witness.searches"
 let c_expansions = Counter.make "witness.expansions"
 let c_timeouts = Counter.make "witness.timeouts"
 
-(* Subset step: image of a frontier under one label. *)
-let step g frontier lbl =
-  Iset.fold
-    (fun u acc ->
-      List.fold_left (fun acc d -> Iset.add d acc) acc (Digraph.succ_by_label g u lbl))
-    frontier Iset.empty
-
-(* Labels available from a frontier. *)
-let out_labels g frontier =
-  Iset.fold
-    (fun u acc ->
-      List.fold_left (fun acc (l, _) -> Iset.add l acc) acc (Digraph.out_edges g u))
-    frontier Iset.empty
-
 let search g ?(fuel = 100_000) ?max_len v ~negatives =
   Trace.with_span "witness.search" @@ fun sp ->
+  let sets = Subset.create () in
+  let fold_members f acc s = Array.fold_left f acc (Subset.elements sets s) in
+  (* Subset step: image of a frontier under one label. *)
+  let step s lbl =
+    Subset.of_list sets
+      (fold_members (fun acc u -> List.rev_append (Digraph.succ_by_label g u lbl) acc) [] s)
+  in
+  (* Labels available from a frontier, ascending. *)
+  let out_labels s =
+    List.sort_uniq Int.compare
+      (fold_members
+         (fun acc u -> List.fold_left (fun acc (l, _) -> l :: acc) acc (Digraph.out_edges g u))
+         [] s)
+  in
+  (* A pair of interned frontiers is one int, so equal pairs are equal
+     keys however their sets were built. *)
   let seen = Hashtbl.create 256 in
+  let key sv sn = (sv lsl 31) lor sn in
   let q = Queue.create () in
-  let init = (Iset.singleton v, Iset.of_list negatives) in
-  Hashtbl.add seen init ();
-  Queue.add (init, []) q;
+  let sv0 = Subset.of_list sets [ v ] and sn0 = Subset.of_list sets negatives in
+  Hashtbl.add seen (key sv0 sn0) ();
+  Queue.add (sv0, sn0, [], 0) q;
   let remaining = ref fuel in
   let rec go () =
     if Queue.is_empty q then Uninformative
     else if !remaining <= 0 then Timeout
     else begin
       decr remaining;
-      let (sv, sn), rev_word = Queue.pop q in
-      if Iset.is_empty sn then
-        Found (List.rev_map (Digraph.label_name g) rev_word)
+      let sv, sn, rev_word, depth = Queue.pop q in
+      if sn = Subset.empty then Found (List.rev_map (Digraph.label_name g) rev_word)
       else begin
-        let depth_ok =
-          match max_len with None -> true | Some k -> List.length rev_word < k
-        in
+        let depth_ok = match max_len with None -> true | Some k -> depth < k in
         if depth_ok then
-          Iset.iter
+          List.iter
             (fun lbl ->
-              let sv' = step g sv lbl in
-              if not (Iset.is_empty sv') then begin
-                let key = (sv', step g sn lbl) in
-                if not (Hashtbl.mem seen key) then begin
-                  Hashtbl.add seen key ();
-                  Queue.add (key, lbl :: rev_word) q
+              let sv' = step sv lbl in
+              if sv' <> Subset.empty then begin
+                let sn' = step sn lbl in
+                let k = key sv' sn' in
+                if not (Hashtbl.mem seen k) then begin
+                  Hashtbl.add seen k ();
+                  Queue.add (sv', sn', lbl :: rev_word, depth + 1) q
                 end
               end)
-            (out_labels g sv);
+            (out_labels sv);
         go ()
       end
     end
@@ -71,23 +71,3 @@ let search g ?(fuel = 100_000) ?max_len v ~negatives =
   Trace.set_str sp "outcome"
     (match outcome with Found _ -> "found" | Uninformative -> "uninformative" | Timeout -> "timeout");
   outcome
-
-let count_uncovered g v ~negatives ~max_len =
-  (* Enumerate distinct words breadth-first (pair states keyed by the word,
-     not the pair, since distinct words with equal pairs still count
-     separately — the paper counts paths). *)
-  let neg0 = Iset.of_list negatives in
-  let q = Queue.create () in
-  Queue.add (Iset.singleton v, neg0, 0) q;
-  let count = ref 0 in
-  while not (Queue.is_empty q) do
-    let sv, sn, len = Queue.pop q in
-    if len > 0 && Iset.is_empty sn then incr count;
-    if len < max_len then
-      Iset.iter
-        (fun lbl ->
-          let sv' = step g sv lbl in
-          if not (Iset.is_empty sv') then Queue.add (sv', step g sn lbl, len + 1) q)
-        (out_labels g sv)
-  done;
-  !count

@@ -10,7 +10,9 @@
     Exact (no length bound needed: the pair space is finite), but
     worst-case exponential, which is why the paper bounds consistency
     checking; [fuel] caps the number of expanded pairs and makes the
-    search effectively polynomial, returning [`Timeout] when exceeded. *)
+    search effectively polynomial, returning [`Timeout] when exceeded.
+    Frontiers are {!Subset}-interned, so each distinct pair is expanded
+    at most once. *)
 
 type outcome =
   | Found of string list   (** a shortest uncovered path, as label names *)
@@ -29,12 +31,3 @@ val search :
     unbounded) additionally caps the word length, after which the node is
     reported [Uninformative] — this is the bounded variant the
     interactive strategies use. *)
-
-val count_uncovered :
-  Gps_graph.Digraph.t ->
-  Gps_graph.Digraph.node ->
-  negatives:Gps_graph.Digraph.node list ->
-  max_len:int ->
-  int
-(** Number of distinct uncovered words of length at most [max_len] — the
-    informativeness score the paper's smart strategy ranks nodes by. *)

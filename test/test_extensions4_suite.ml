@@ -1,12 +1,11 @@
-(* Tests for the fourth wave: sampled strategy, query rewriting, the batch
-   runner, the hesitant oracle. *)
+(* Tests for the fourth wave: query rewriting, the batch runner, the
+   hesitant oracle. *)
 
 open Gps_graph
 module Rpq = Gps_query.Rpq
 module Eval = Gps_query.Eval
 module Rewrite = Gps_query.Rewrite
 module Strategy = Gps_interactive.Strategy
-module Informative = Gps_interactive.Informative
 module Batch = Gps_interactive.Batch
 module Oracle = Gps_interactive.Oracle
 module Simulate = Gps_interactive.Simulate
@@ -15,34 +14,6 @@ module Session = Gps_interactive.Session
 let check = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
 let node g n = Option.get (Digraph.node_of_name g n)
-
-(* -------------------------------------------------------------------- *)
-(* sampled informativeness / strategy *)
-
-let test_sampled_score_bounds () =
-  let g = Datasets.figure1 () in
-  let rng = Prng.create ~seed:1 in
-  let score v =
-    Informative.sampled_score g ~negatives:[ node g "N5" ] ~bound:3 ~samples:50 ~rng v
-  in
-  let s = score (node g "N2") in
-  check "within [0, samples]" true (s >= 0 && s <= 50);
-  check "informative node scores > 0" true (s > 0);
-  check_int "sink scores 0" 0 (score (node g "C1"))
-
-let test_sampled_score_no_negatives () =
-  let g = Datasets.figure1 () in
-  let rng = Prng.create ~seed:2 in
-  check_int "no negatives: every walk uncovered" 20
-    (Informative.sampled_score g ~negatives:[] ~bound:3 ~samples:20 ~rng (node g "N2"))
-
-let test_sampled_strategy_converges () =
-  let g = Generators.city (Generators.default_city ~districts:16) ~seed:8 in
-  let goal = Rpq.of_string_exn "(tram+bus)*.cinema" in
-  let r =
-    Batch.run_once g ~strategy:(Strategy.sampled_smart ~seed:3 ~samples:16) ~goal
-  in
-  check "reaches the goal" true r.Batch.reached_goal
 
 (* -------------------------------------------------------------------- *)
 (* Rewrite *)
@@ -141,30 +112,11 @@ let qcheck_tests =
         (* query over a wider alphabet than the graph's *)
         let q = Rpq.of_string_exn "(a+zz)*.(b+yy)" in
         Eval.select g q = Eval.select g (Rewrite.specialize g q));
-    Test.make ~name:"sampled score never exceeds samples and matches exact zero" ~count:100
-      (make Gen.(int_range 0 10_000)) (fun seed ->
-        let g = Generators.uniform ~nodes:8 ~edges:16 ~labels:[ "a"; "b" ] ~seed in
-        let rng = Prng.create ~seed in
-        let negatives = [ 0 ] in
-        List.for_all
-          (fun v ->
-            let s =
-              Informative.sampled_score g ~negatives ~bound:3 ~samples:30 ~rng v
-            in
-            s >= 0 && s <= 30
-            && (Informative.score g ~negatives ~bound:3 v > 0 || s = 0))
-          (Digraph.nodes g));
   ]
 
 let suite =
   let t name f = Alcotest.test_case name `Quick f in
   [
-    ( "ext4.sampled",
-      [
-        t "score bounds" test_sampled_score_bounds;
-        t "no negatives" test_sampled_score_no_negatives;
-        t "strategy converges" test_sampled_strategy_converges;
-      ] );
     ( "ext4.rewrite",
       [
         t "dead symbols" test_rewrite_dead_symbols;

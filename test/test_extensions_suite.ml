@@ -335,7 +335,11 @@ let test_journal_bad_json () =
 let test_sequential_strategy () =
   let g = Datasets.figure1 () in
   let ctx =
-    { Gps_interactive.Strategy.graph = g; excluded = (fun _ -> false); negatives = []; bound = 3 }
+    {
+      Gps_interactive.Strategy.scorer = Gps_interactive.Informative.create g ~bound:3;
+      excluded = (fun _ -> false);
+      negatives = [];
+    }
   in
   check "picks lowest id" true
     (Gps_interactive.Strategy.sequential.Gps_interactive.Strategy.choose ctx = Some 0);

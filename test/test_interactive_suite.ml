@@ -19,14 +19,18 @@ let goal_q = "(tram+bus)*.cinema"
 
 let test_informative_no_negatives () =
   let g = fig1 () in
+  let scorer = Informative.create g ~bound:3 in
   check "all nodes informative with no negatives" true
-    (List.for_all (Informative.is_informative g ~negatives:[] ~bound:3) (Digraph.nodes g))
+    (List.for_all (Informative.is_informative scorer ~negatives:[]) (Digraph.nodes g))
 
 let test_informative_pruning () =
   let g = fig1 () in
   let negatives = [ node g "N5" ] in
   (* sinks C1 C2 R1 R2 only have eps, covered by N5 *)
-  let pruned = Informative.uninformative_nodes g ~negatives ~bound:3 in
+  let scorer = Informative.create g ~bound:3 in
+  let pruned =
+    List.filter (fun v -> not (Informative.is_informative scorer ~negatives v)) (Digraph.nodes g)
+  in
   let names = List.sort compare (List.map (Digraph.node_name g) pruned) in
   check "sinks pruned" true
     (List.for_all (fun n -> List.mem n names) [ "C1"; "C2"; "R1"; "R2" ]);
@@ -36,10 +40,33 @@ let test_informative_pruning () =
 let test_informative_score_ranking () =
   let g = fig1 () in
   let negatives = [ node g "N5" ] in
-  let score v = Informative.score g ~negatives:(negatives :> int list) ~bound:3 v in
+  let scorer = Informative.create g ~bound:3 in
+  let score v = Option.get (Informative.score scorer ~negatives v) in
   (* N2 reaches more distinct uncovered words than the sink C1 *)
   check "N2 scores higher than C1" true (score (node g "N2") > score (node g "C1"));
   check_int "sink scores zero" 0 (score (node g "C1"))
+
+let test_informative_many_labels () =
+  (* 70 labels do not fit the scorer's label bit sets, so its last
+     letter takes the general path; it must still count like
+     enumeration *)
+  let edges =
+    List.init 70 (fun i -> ("v", Printf.sprintf "l%d" i, "x"))
+    @ List.init 35 (fun i -> ("n", Printf.sprintf "l%d" (2 * i), "y"))
+    @ [ ("x", "l1", "v"); ("y", "l1", "n") ]
+  in
+  let g = Codec.of_edges edges in
+  let scorer = Informative.create g ~bound:3 in
+  List.iter
+    (fun negatives ->
+      List.iter
+        (fun v ->
+          check_int
+            (Printf.sprintf "%s vs %d negatives" (Digraph.node_name g v) (List.length negatives))
+            (Test_learning_suite.count_uncovered g v ~negatives ~max_len:3)
+            (Option.get (Informative.score scorer ~negatives v)))
+        (Digraph.nodes g))
+    [ []; [ node g "n" ]; [ node g "n"; node g "y" ] ]
 
 (* -------------------------------------------------------------------- *)
 (* View *)
@@ -105,7 +132,7 @@ let test_tree_structure () =
 (* Strategy *)
 
 let context g ?(negatives = []) ?(excluded = fun _ -> false) () =
-  { Strategy.graph = g; excluded; negatives; bound = 3 }
+  { Strategy.scorer = Informative.create g ~bound:3; excluded; negatives }
 
 let test_strategy_candidates () =
   let g = fig1 () in
@@ -127,7 +154,7 @@ let test_strategy_smart_picks_max_score () =
   match Strategy.smart.Strategy.choose ctx with
   | None -> Alcotest.fail "candidates exist"
   | Some v ->
-      let score u = Informative.score g ~negatives:[ node g "N5" ] ~bound:3 u in
+      let score u = Informative.score ctx.Strategy.scorer ~negatives:[ node g "N5" ] u in
       check "maximal score" true
         (List.for_all (fun u -> score u <= score v) (Strategy.candidates ctx))
 
@@ -148,7 +175,7 @@ let test_propagate_negatives () =
   let g = fig1 () in
   let among = Digraph.nodes g in
   let implied =
-    Propagate.implied_negatives g ~negatives:[ node g "N5" ] ~bound:3 ~among
+    Propagate.implied_negatives (Informative.create g ~bound:3) ~negatives:[ node g "N5" ] ~among
   in
   check "C1 implied negative" true (List.mem (node g "C1") implied);
   check "N2 not implied" false (List.mem (node g "N2") implied)
@@ -296,6 +323,229 @@ let test_interactions_to_learn () =
   | None -> Alcotest.fail "smart strategy must reach the goal on figure 1"
 
 (* -------------------------------------------------------------------- *)
+(* The memoized scorer and the lazy-greedy strategy against word
+   enumeration, along whole dialogs *)
+
+let count_uncovered = Test_learning_suite.count_uncovered
+
+(* The reference smart choice: the first candidate of highest enumerated
+   score, among the non-excluded nodes informative by enumeration. *)
+let reference_candidates g ~bound ~negatives ~excluded =
+  List.filter
+    (fun v ->
+      (not (excluded v)) && (negatives = [] || count_uncovered g v ~negatives ~max_len:bound > 0))
+    (Digraph.nodes g)
+
+let reference_choice g ~bound ~negatives ~excluded =
+  Strategy.best_by
+    (fun v -> count_uncovered g v ~negatives ~max_len:bound)
+    (reference_candidates g ~bound ~negatives ~excluded)
+
+let excluded_in s v =
+  Sample.is_labeled (Session.sample s) v
+  || List.mem v (Session.implied_pos s)
+  || List.mem v (Session.implied_neg s)
+
+(* At every state: the session's proposal is the reference's, its pruned
+   nodes are exactly the uninformative unlabeled ones, and a scorer
+   living across the whole run (undos included) agrees with enumeration
+   on every node's informativeness, score and candidacy. *)
+let state_agrees scorer g ~bound s =
+  let negatives = Sample.neg (Session.sample s) in
+  let excluded = excluded_in s in
+  let reference = reference_choice g ~bound ~negatives ~excluded in
+  let proposal_ok =
+    match Session.request s with
+    | Session.Ask_label view -> reference = Some view.View.node
+    | Session.Finished { Session.reason = Session.No_informative_nodes; _ } -> reference = None
+    | Session.Ask_path _ | Session.Propose _ | Session.Finished _ -> true
+  in
+  let pruned = Session.implied_neg s in
+  let open_node v =
+    (not (Sample.is_labeled (Session.sample s) v)) && not (List.mem v (Session.implied_pos s))
+  in
+  proposal_ok
+  && Strategy.candidates { Strategy.scorer; excluded; negatives }
+     = reference_candidates g ~bound ~negatives ~excluded
+  && List.for_all
+       (fun v ->
+         let c = count_uncovered g v ~negatives ~max_len:bound in
+         let informative = negatives = [] || c > 0 in
+         Informative.is_informative scorer ~negatives v = informative
+         && Informative.score scorer ~negatives v = Some c
+         && ((not (open_node v)) || List.mem v pruned = not informative))
+       (Digraph.nodes g)
+
+let summary g s =
+  match Session.request s with
+  | Session.Ask_label v ->
+      Printf.sprintf "label %s r%d" (Digraph.node_name g v.View.node)
+        v.View.fragment.Neighborhood.radius
+  | Session.Ask_path t ->
+      Printf.sprintf "path %s %s" (Digraph.node_name g t.View.node)
+        (String.concat "|" (List.map (String.concat ".") t.View.words))
+  | Session.Propose q -> "propose " ^ Rpq.to_string q
+  | Session.Finished o -> "finished " ^ Rpq.to_string o.Session.query
+
+type dialog_case = {
+  n : int;
+  edges : (int * int * int) list;
+  bound : int;
+  user : int;  (* 0 perfect, 1 noisy, 2 zooming *)
+  goal : int;
+  other_goal : int;
+  seed : int;
+}
+
+let dialog_goals = [| "a"; "b.c"; "(a+b)*.c"; "a.b*"; "c*.a"; "b" |]
+
+let case_graph c =
+  let g = Digraph.create () in
+  for v = 0 to c.n - 1 do
+    ignore (Digraph.add_node g (Printf.sprintf "n%d" v))
+  done;
+  List.iter
+    (fun (src, l, dst) -> Digraph.add_edge g ~src ~label:(String.make 1 "abc".[l]) ~dst)
+    c.edges;
+  g
+
+let case_user c ~kind ~goal =
+  let goal = Rpq.of_string_exn dialog_goals.(goal) in
+  match kind with
+  | 0 -> Oracle.perfect ~goal
+  | 1 -> Oracle.noisy ~goal ~flip:0.3 ~seed:c.seed
+  | _ -> Oracle.hesitant ~goal ~extra_zooms:2
+
+let arb_dialog_case =
+  let open QCheck in
+  make
+    ~print:(fun c ->
+      Printf.sprintf "n=%d bound=%d user=%d goal=%d/%d seed=%d edges=[%s]" c.n c.bound c.user
+        c.goal c.other_goal c.seed
+        (String.concat "; "
+           (List.map (fun (s, l, d) -> Printf.sprintf "%d-%c->%d" s "abc".[l] d) c.edges)))
+    Gen.(
+      let* n = int_range 1 8 in
+      let* labels = int_range 1 3 in
+      let* edges =
+        list_size (int_bound ((2 * n) + 4))
+          (triple (int_bound (n - 1)) (int_bound (labels - 1)) (int_bound (n - 1)))
+      in
+      let* bound = int_range 1 4 in
+      let* user = int_bound 2 in
+      let* goal = int_bound (Array.length dialog_goals - 1) in
+      let* other_goal = int_bound (Array.length dialog_goals - 1) in
+      let* seed = int_bound 10_000 in
+      return { n; edges; bound; user; goal; other_goal; seed })
+
+(* A random walk through one dialog: the user's answers, with an undo
+   one step in six. Checks every state; returns the states of the
+   effective path and its answers as a journal. *)
+let random_dialog c g =
+  let config = { Session.default_config with Session.bound = c.bound } in
+  let user = case_user c ~kind:c.user ~goal:c.goal in
+  let rng = Prng.create ~seed:c.seed in
+  let scorer = Informative.create g ~bound:c.bound in
+  let name v = Some (Digraph.node_name g v) in
+  let rec go h answers steps =
+    let s = History.current h in
+    if not (state_agrees scorer g ~bound:c.bound s) then None
+    else if steps = 0 then Some (s, List.rev answers)
+    else if History.depth h > 0 && Prng.int rng 6 = 0 then
+      go (Option.get (History.undo h)) (List.tl answers) (steps - 1)
+    else
+      match History.request h with
+      | Session.Finished _ -> Some (s, List.rev answers)
+      | Session.Ask_label v ->
+          let a = user.Oracle.label g v in
+          go (History.answer_label h a) (Journal.Label (name v.View.node, a) :: answers) (steps - 1)
+      | Session.Ask_path t ->
+          let w = user.Oracle.validate g t in
+          go (History.answer_path h w) (Journal.Validate (name t.View.node, w) :: answers) (steps - 1)
+      | Session.Propose q ->
+          let ok = user.Oracle.satisfied g q in
+          go
+            ((if ok then History.accept else History.refine) h)
+            (Journal.Satisfied (Rpq.to_string q, ok) :: answers)
+            (steps - 1)
+  in
+  go (History.start ~config ~strategy:Strategy.smart g) [] 40
+
+(* Replay a journal through a fresh session, as crash recovery does,
+   requiring each label and validation to be about the recorded node. *)
+let replay c g journal =
+  let config = { Session.default_config with Session.bound = c.bound } in
+  let about v = function Some n -> n = Digraph.node_name g v | None -> false in
+  List.fold_left
+    (fun s a ->
+      match (Session.request s, a) with
+      | Session.Ask_label v, Journal.Label (n, pol) when about v.View.node n ->
+          Session.answer_label s pol
+      | Session.Ask_path t, Journal.Validate (n, w) when about t.View.node n ->
+          Session.answer_path s w
+      | Session.Propose _, Journal.Satisfied (_, ok) ->
+          if ok then Session.accept s else Session.refine s
+      | _ -> failwith "journal replay diverged")
+    (Session.start ~config ~strategy:Strategy.smart g)
+    journal
+
+(* Summaries of the first [steps] states of a goal-driven dialog, one
+   [advance] at a time, so two dialogs can be interleaved. *)
+let advance g user s =
+  match Session.request s with
+  | Session.Finished _ -> s
+  | Session.Ask_label v -> Session.answer_label s (user.Oracle.label g v)
+  | Session.Ask_path t -> Session.answer_path s (user.Oracle.validate g t)
+  | Session.Propose q -> if user.Oracle.satisfied g q then Session.accept s else Session.refine s
+
+let interleaving_agrees c g =
+  let config = { Session.default_config with Session.bound = c.bound } in
+  let start () = Session.start ~config ~strategy:Strategy.smart g in
+  let user_a () = case_user c ~kind:0 ~goal:c.goal
+  and user_b () = case_user c ~kind:c.user ~goal:c.other_goal in
+  let alone user =
+    let user = user () in
+    let rec go s k acc = if k = 0 then List.rev acc else go (advance g user s) (k - 1) (summary g s :: acc) in
+    go (start ()) 25 []
+  in
+  let a = user_a () and b = user_b () in
+  let rec both sa sb k acc_a acc_b =
+    if k = 0 then (List.rev acc_a, List.rev acc_b)
+    else
+      let acc_a = summary g sa :: acc_a in
+      let sa = advance g a sa in
+      let acc_b = summary g sb :: acc_b in
+      both sa (advance g b sb) (k - 1) acc_a acc_b
+  in
+  both (start ()) (start ()) 25 [] [] = (alone user_a, alone user_b)
+
+let dialog_property =
+  QCheck.Test.make
+    ~name:"smart equals enumeration reference along dialogs with undo, replay and interleaving"
+    ~count:200 arb_dialog_case (fun c ->
+      let g = case_graph c in
+      match random_dialog c g with
+      | None -> false
+      | Some (final, journal) ->
+          let journal =
+            match Journal.of_json (Journal.to_json journal) with
+            | Ok j -> j
+            | Error e -> failwith e
+          in
+          summary g (replay c g journal) = summary g final && interleaving_agrees c g)
+
+let propagate_property =
+  let open QCheck in
+  Test.make ~name:"implied positives equal covers on every node, unknown labels included"
+    ~count:200
+    (pair arb_dialog_case
+       (make Gen.(list_size (int_bound 4) (oneofl [ "a"; "b"; "c"; "z" ]))))
+    (fun (c, word) ->
+      let g = case_graph c in
+      Propagate.implied_positives g ~word
+      = List.filter (fun v -> Gps_query.Pathlang.covers g [ v ] word) (Digraph.nodes g))
+
+(* -------------------------------------------------------------------- *)
 (* Properties *)
 
 let qcheck_tests =
@@ -330,6 +580,8 @@ let qcheck_tests =
         let config = { Session.default_config with Session.max_questions = Some 5 } in
         let trace = Simulate.run ~config g ~strategy:(Strategy.random ~seed:1) ~user:(Oracle.perfect ~goal) in
         trace.Simulate.questions <= 5);
+    dialog_property;
+    propagate_property;
   ]
 
 let suite =
@@ -340,6 +592,7 @@ let suite =
         t "no negatives" test_informative_no_negatives;
         t "pruning" test_informative_pruning;
         t "score ranking" test_informative_score_ranking;
+        t "many labels" test_informative_many_labels;
       ] );
     ( "interactive.view",
       [

@@ -129,6 +129,25 @@ let test_witness_search_fuel () =
   | Witness_search.Found _ -> () (* found before fuel ran out (start pair may already qualify) *)
   | Witness_search.Uninformative -> Alcotest.fail "cannot decide uninformative with fuel 1"
 
+let test_witness_search_dedup () =
+  (* a and b lead from v to the same three nodes, listed in different
+     orders, so the two frontiers are built by different insertion
+     sequences; with v its own negative, both words reach the same pair
+     (X, X). The pair is expanded once: the initial pair plus (X, X). *)
+  let g =
+    Codec.of_edges
+      [
+        ("v", "a", "x1"); ("v", "a", "x2"); ("v", "a", "x3");
+        ("v", "b", "x2"); ("v", "b", "x1"); ("v", "b", "x3");
+      ]
+  in
+  let expansions = Gps_obs.Counter.make "witness.expansions" in
+  let before = Gps_obs.Counter.value expansions in
+  (match Witness_search.search g (node g "v") ~negatives:[ node g "v" ] with
+  | Witness_search.Uninformative -> ()
+  | _ -> Alcotest.fail "a node is uninformative against itself");
+  check_int "each distinct pair expanded once" 2 (Gps_obs.Counter.value expansions - before)
+
 let test_witness_search_max_len () =
   (* with max_len shorter than the only escape, bounded search reports
      uninformative — the paper's bounded-strategy behaviour *)
@@ -137,16 +156,47 @@ let test_witness_search_max_len () =
   | Witness_search.Uninformative -> ()
   | _ -> Alcotest.fail "bounded search should give up"
 
+(* The number of distinct non-empty words of length at most [max_len]
+   spelled by walks from [v] and by no walk from a negative, by listing
+   the words one at a time: the reference the interactive scorer's
+   memoized count is checked against. Pair states are keyed by the word,
+   not the pair: distinct words with equal pairs count separately. *)
+let count_uncovered g v ~negatives ~max_len =
+  let module Iset = Set.Make (Int) in
+  let step frontier lbl =
+    Iset.fold
+      (fun u acc ->
+        List.fold_left (fun acc d -> Iset.add d acc) acc (Digraph.succ_by_label g u lbl))
+      frontier Iset.empty
+  in
+  let out_labels frontier =
+    Iset.fold
+      (fun u acc -> List.fold_left (fun acc (l, _) -> Iset.add l acc) acc (Digraph.out_edges g u))
+      frontier Iset.empty
+  in
+  let q = Queue.create () in
+  Queue.add (Iset.singleton v, Iset.of_list negatives, 0) q;
+  let count = ref 0 in
+  while not (Queue.is_empty q) do
+    let sv, sn, len = Queue.pop q in
+    if len > 0 && Iset.is_empty sn then incr count;
+    if len < max_len then
+      Iset.iter
+        (fun lbl ->
+          let sv' = step sv lbl in
+          if not (Iset.is_empty sv') then Queue.add (sv', step sn lbl, len + 1) q)
+        (out_labels sv)
+  done;
+  !count
+
 let test_count_uncovered () =
   let g = fig1 () in
   (* N5's uncovered path count vs negative N3: N3 covers {restaurant};
      N5's words: tram, restaurant, tram.restaurant -> uncovered: tram,
      tram.restaurant *)
-  check_int "count" 2
-    (Witness_search.count_uncovered g (node g "N5") ~negatives:[ node g "N3" ] ~max_len:3);
+  check_int "count" 2 (count_uncovered g (node g "N5") ~negatives:[ node g "N3" ] ~max_len:3);
   (* all covered for a sink node *)
-  check_int "sink" 0
-    (Witness_search.count_uncovered g (node g "C1") ~negatives:[ node g "N5" ] ~max_len:3)
+  check_int "sink" 0 (count_uncovered g (node g "C1") ~negatives:[ node g "N5" ] ~max_len:3)
 
 (* -------------------------------------------------------------------- *)
 (* Rpni *)
@@ -368,6 +418,7 @@ let suite =
         t "cycle found" test_witness_search_cycle_found;
         t "fuel" test_witness_search_fuel;
         t "max_len" test_witness_search_max_len;
+        t "dedup" test_witness_search_dedup;
         t "count_uncovered" test_count_uncovered;
       ] );
     ( "learning.rpni",
