@@ -96,12 +96,12 @@ let run () =
     let module Deadline = Gps.Obs.Deadline in
     let w = Workloads.uniform ~nodes:20_000 ~seed:9 in
     let big = w.Workloads.graph in
-    let csr = Gps.Graph.Csr.freeze big in
+    let source = Eval.Frozen (big, Gps.Graph.Csr.freeze big) in
     let q = Workloads.q "(a+b)*.c.(a+b+c)*" in
     let reps = 20 in
     (* warm up caches/allocator so run order does not bias the ratios *)
-    ignore (Eval.select_frozen big csr q);
-    ignore (Eval.select_frozen big csr q);
+    ignore (Eval.run source q);
+    ignore (Eval.run source q);
     let time f =
       let t0 = Clock.now_ns () in
       for _ = 1 to reps do
@@ -109,17 +109,17 @@ let run () =
       done;
       Clock.ns_to_s (Clock.elapsed_ns t0)
     in
-    let plain_s = time (fun () -> ignore (Eval.select_frozen big csr q)) in
+    let plain_s = time (fun () -> ignore (Eval.run source q)) in
     let none_s =
       time (fun () ->
-          match Eval.select_frozen_result big csr q with
+          match Eval.run ~deadline:Deadline.none source q with
           | Ok _ -> ()
           | Error _ -> failwith "baseline: unguarded select interrupted")
     in
     let far = Deadline.after_ms 3_600_000.0 in
     let armed_s =
       time (fun () ->
-          match Eval.select_frozen_result ~deadline:far big csr q with
+          match Eval.run ~deadline:far source q with
           | Ok _ -> ()
           | Error _ -> failwith "baseline: far-future deadline fired")
     in

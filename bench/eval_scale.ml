@@ -94,11 +94,12 @@ let run () =
       (fun districts ->
         let w = Workloads.city ~districts ~seed:8 in
         let g = w.Workloads.graph in
-        let csr = Csr.freeze g in
-        if Eval.select_frozen g csr goal <> legacy_select g goal then
+        let source = Eval.Frozen (g, Csr.freeze g) in
+        let kernel () = fst (Result.get_ok (Eval.run source goal)) in
+        if kernel () <> legacy_select g goal then
           failwith (Printf.sprintf "eval_scale: kernel disagrees on %s" w.Workloads.name);
         let legacy_s = best_of repeats (fun () -> ignore (legacy_select g goal)) in
-        let kernel_s = best_of repeats (fun () -> ignore (Eval.select_frozen g csr goal)) in
+        let kernel_s = best_of repeats (fun () -> ignore (kernel ())) in
         Json.Object
           [
             ("graph", Json.String w.Workloads.name);

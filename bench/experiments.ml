@@ -430,10 +430,9 @@ let eval_ablation () =
           let dfa =
             Gps.Automata.Dfa.minimize (Gps.Automata.Dfa.determinize (Rpq.nfa goal))
           in
+          let via_dfa = Rpq.of_nfa (Gps.Automata.Dfa.to_nfa dfa) in
           let nfa_ms = time_best ~repeat:5 (fun () -> ignore (Eval.select ds.graph goal)) in
-          let dfa_ms =
-            time_best ~repeat:5 (fun () -> ignore (Eval.select_via_dfa ds.graph goal))
-          in
+          let dfa_ms = time_best ~repeat:5 (fun () -> ignore (Eval.select ds.graph via_dfa)) in
           Printf.printf "%7d %-30s %8d %8d %10.3f %10.3f\n" (Digraph.n_nodes ds.graph) qs
             nfa_states dfa.Gps.Automata.Dfa.n_states nfa_ms dfa_ms)
         [ "(tram+bus)*.cinema"; "(bus+tram).(bus+tram).cinema"; "metro*.museum" ])
@@ -599,10 +598,10 @@ let csr_ablation () =
     (fun districts ->
       let ds = city ~districts ~seed:5 in
       let g = ds.graph in
-      let csr = Gps.Graph.Csr.freeze g in
+      let source = Eval.Frozen (g, Gps.Graph.Csr.freeze g) in
       let goal = q "(tram+bus)*.cinema" in
       let lists_ms = time_best ~repeat:5 (fun () -> ignore (Eval.select g goal)) in
-      let csr_ms = time_best ~repeat:5 (fun () -> ignore (Eval.select_frozen g csr goal)) in
+      let csr_ms = time_best ~repeat:5 (fun () -> ignore (Eval.run source goal)) in
       Printf.printf "%7d %7d %12.3f %12.3f %8.1fx\n" (Digraph.n_nodes g) (Digraph.n_edges g)
         lists_ms csr_ms (lists_ms /. csr_ms))
     [ 50; 200; 800; 3200 ]

@@ -65,7 +65,7 @@ let rung ~repeats ~nodes =
         best_of repeats (fun () ->
             pack ();
             match Disk.open_map path with
-            | Ok d -> ignore (Eval.select_mapped (Disk.snapshot d) goal)
+            | Ok d -> ignore (Eval.run (Mapped (Disk.snapshot d)) goal)
             | Error e -> failwith (Disk.open_error_to_string e))
       in
       let disk =
@@ -74,8 +74,9 @@ let rung ~repeats ~nodes =
         | Error e -> failwith (Disk.open_error_to_string e)
       in
       let view = Disk.snapshot disk in
-      let mapped_sel = Eval.select_mapped view goal in
-      let warm_mmap_s = best_of repeats (fun () -> ignore (Eval.select_mapped view goal)) in
+      let select source = fst (Result.get_ok (Eval.run source goal)) in
+      let mapped_sel = select (Mapped view) in
+      let warm_mmap_s = best_of repeats (fun () -> ignore (select (Mapped view))) in
       (* the heap baseline: full materialization + freeze, timed, then
          the same query on the frozen CSR *)
       let (g, csr), materialize_s =
@@ -83,11 +84,9 @@ let rung ~repeats ~nodes =
             let g = Disk.to_digraph view in
             (g, Csr.freeze g))
       in
-      let heap_sel = Eval.select_frozen g csr goal in
+      let heap_sel = select (Frozen (g, csr)) in
       if heap_sel <> mapped_sel then failwith "ooc: mapped evaluation disagrees with heap";
-      let warm_heap_s =
-        best_of repeats (fun () -> ignore (Eval.select_frozen g csr goal))
-      in
+      let warm_heap_s = best_of repeats (fun () -> ignore (select (Frozen (g, csr)))) in
       (* overlay ingest: fresh-node edges in batches, so every append
          exercises interning + publication, none dedups away *)
       let batch = 1_000 and batches = 10 in
@@ -107,7 +106,7 @@ let rung ~repeats ~nodes =
       in
       let overlay_view = Disk.snapshot disk in
       let overlay_query_s =
-        best_of repeats (fun () -> ignore (Eval.select_mapped overlay_view goal))
+        best_of repeats (fun () -> ignore (select (Mapped overlay_view)))
       in
       Json.Object
         [

@@ -246,23 +246,24 @@ let query_cmd =
     let q = or_die (Gps.parse_query qs) in
     with_trace trace @@ fun () ->
     let sel, report =
-      match deadline_ms with
-      | Some ms -> (
-          if ms <= 0. then or_die (Error "--deadline-ms must be positive");
-          let deadline = Gps.Obs.Deadline.after_ms ms in
-          match Gps.Query.Eval.select_report_result ~deadline g q with
-          | Ok (sel, r) -> (sel, if explain then Some r else None)
-          | Error { Gps.Query.Eval.reason; partial } ->
-              Printf.eprintf "gps: query %s after %g ms (visited %d product states)\n"
-                (Gps.Obs.Deadline.reason_to_string reason)
-                ms partial.Gps.Query.Eval.frontier_visits;
-              Format.eprintf "partial explain:@.%a@?" Gps.Query.Eval.pp_report partial;
-              exit 3)
-      | None ->
-          if explain then
-            let sel, r = Gps.Query.Eval.select_report g q in
-            (sel, Some r)
-          else (Gps.Query.Eval.select g q, None)
+      if deadline_ms = None && not explain then (Gps.Query.Eval.select g q, None)
+      else begin
+        let deadline, ms =
+          match deadline_ms with
+          | Some ms ->
+              if ms <= 0. then or_die (Error "--deadline-ms must be positive");
+              (Gps.Obs.Deadline.after_ms ms, ms)
+          | None -> (Gps.Obs.Deadline.none, 0.)
+        in
+        match Gps.Query.Eval.(run ~deadline (Frozen (g, Gps.Graph.Csr.freeze g)) q) with
+        | Ok (sel, r) -> (sel, if explain then Some r else None)
+        | Error { Gps.Query.Eval.reason; partial } ->
+            Printf.eprintf "gps: query %s after %g ms (visited %d product states)\n"
+              (Gps.Obs.Deadline.reason_to_string reason)
+              ms partial.Gps.Query.Eval.frontier_visits;
+            Format.eprintf "partial explain:@.%a@?" Gps.Query.Eval.pp_report partial;
+            exit 3
+      end
     in
     let selected = List.filter (fun v -> sel.(v)) (List.init (Array.length sel) Fun.id) in
     Printf.printf "%s selects %d node(s)\n" (Gps.Query.Rpq.to_string q) (List.length selected);

@@ -5,7 +5,7 @@
 
 module Digraph = Gps.Graph.Digraph
 module Rpq = Gps.Query.Rpq
-module Twoway = Gps.Query.Twoway
+module Witness = Gps.Query.Witness
 module Rewrite = Gps.Query.Rewrite
 module Journal = Gps.Interactive.Journal
 module Batch = Gps.Interactive.Batch
@@ -22,17 +22,12 @@ let () =
 
   section "Two-way query: from a restaurant, back to its stop, then to a cinema";
   let q = Gps.parse_query_exn "restaurant~.(metro+tram+bus)*.cinema" in
-  let selected = Twoway.select_nodes g q in
   List.iter
-    (fun v ->
-      Printf.printf "  %s\n" (Digraph.node_name g v);
-      match Twoway.witness g q v with
-      | Some steps ->
-          List.iteri
-            (fun i s -> if i < 3 then Printf.printf "    %s\n" (Format.asprintf "%a" (Twoway.pp_step g) s))
-            steps
+    (fun name ->
+      match Witness.find g q (Option.get (Digraph.node_of_name g name)) with
+      | Some w -> Printf.printf "  %-18s %s\n" name (Format.asprintf "%a" (Witness.pp g) w)
       | None -> ())
-    selected;
+    (Gps.evaluate g q);
 
   section "Query specialization: dropping labels this graph does not have";
   let wide = Gps.parse_query_exn "(metro+tram+monorail)*.cinema" in

@@ -17,9 +17,6 @@ let evaluate g q =
 
 let evaluate_str g s = Result.map (evaluate g) (parse_query s)
 
-let evaluate_two_way g q =
-  List.sort compare (List.map (Graph.Digraph.node_name g) (Query.Twoway.select_nodes g q))
-
 let evaluate_all_of g queries =
   List.sort compare
     (List.map (Graph.Digraph.node_name g)

@@ -45,14 +45,12 @@ val parse_query : string -> (Query.Rpq.t, string) result
 val parse_query_exn : string -> Query.Rpq.t
 
 val evaluate : Graph.Digraph.t -> Query.Rpq.t -> string list
-(** Names of the selected nodes, sorted. *)
+(** Names of the selected nodes, sorted. Symbols with a trailing [~]
+    traverse edges backwards (two-way RPQs): on Figure 1, [cinema~]
+    selects C1 and C2. *)
 
 val evaluate_str : Graph.Digraph.t -> string -> (string list, string) result
 (** Parse-and-evaluate convenience. *)
-
-val evaluate_two_way : Graph.Digraph.t -> Query.Rpq.t -> string list
-(** Two-way (2RPQ) semantics: symbols with a trailing [~] traverse edges
-    backwards. Sorted node names. *)
 
 val evaluate_all_of : Graph.Digraph.t -> Query.Rpq.t list -> string list
 (** Conjunction: the nodes selected by {e every} query of the list. *)

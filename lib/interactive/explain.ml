@@ -46,7 +46,7 @@ let explain session v =
     | None -> Unconstrained
   else
     match Session.hypothesis session with
-    | Some q when Gps_query.Eval.selects g q v -> (
+    | Some q when (Gps_query.Eval.select g q).(v) -> (
         match Gps_query.Witness.find g q v with
         | Some w -> Selected_by_hypothesis w.Gps_query.Witness.word
         | None -> Unconstrained)

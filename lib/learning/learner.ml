@@ -65,8 +65,8 @@ let learn_result ?fuel ?max_len ?(deadline = Deadline.none) g sample =
             negatives = []
             ||
             let q = Rpq.of_nfa nfa in
-            match Eval.select_frozen_result ~deadline g csr q with
-            | Ok sel -> not (List.exists (fun n -> sel.(n)) negatives)
+            match Eval.run ~deadline (Eval.Frozen (g, csr)) q with
+            | Ok (sel, _) -> not (List.exists (fun n -> sel.(n)) negatives)
             | Error { Eval.reason; _ } -> raise (Interrupted_exn reason)
           in
           match Rpni.generalize pta ~consistent with

@@ -1,100 +1,27 @@
 module Digraph = Gps_graph.Digraph
 module Nfa = Gps_automata.Nfa
 
-(* Forward BFS over the product from (src, starts); records for every
-   product state whether it was reached, optionally with parents for
-   witness reconstruction. *)
-let forward g q src ~want_parents =
-  let nfa = Rpq.nfa q in
-  let m = Nfa.n_states nfa in
-  let n = Digraph.n_nodes g in
-  let visited = Array.make (n * m) false in
-  let parent = if want_parents then Array.make (n * m) None else [||] in
-  let queue = Queue.create () in
-  let push idx p =
-    if not visited.(idx) then begin
-      visited.(idx) <- true;
-      if want_parents then parent.(idx) <- p;
-      Queue.add idx queue
-    end
-  in
-  List.iter (fun q0 -> push ((src * m) + q0) None) (Nfa.starts nfa);
-  while not (Queue.is_empty queue) do
-    let idx = Queue.pop queue in
-    let u = idx / m and qs = idx mod m in
-    List.iter
-      (fun (lbl, u') ->
-        let sym = Digraph.label_name g lbl in
-        List.iter
-          (fun qd -> push ((u' * m) + qd) (if want_parents then Some (idx, sym) else None))
-          (Nfa.delta_sym nfa qs sym))
-      (Digraph.out_edges g u)
-  done;
-  (visited, parent, m)
-
 let targets g q src =
   let nfa = Rpq.nfa q in
-  let visited, _, m = forward g q src ~want_parents:false in
-  if m = 0 then []
-  else begin
-    let finals = Nfa.finals nfa in
-    List.filter
-      (fun y -> List.exists (fun qf -> visited.((y * m) + qf)) finals)
-      (Digraph.nodes g)
-  end
+  let hit = Array.make (Digraph.n_nodes g) false in
+  (* a goal that never holds: the search runs to exhaustion, marking
+     every node it reaches in an accepting state *)
+  ignore
+    (Witness.search g q src ~goal:(fun y qs ->
+         if Nfa.is_final nfa qs then hit.(y) <- true;
+         false));
+  List.filter (fun y -> hit.(y)) (Digraph.nodes g)
 
 let select_pairs g q =
   List.concat_map (fun x -> List.map (fun y -> (x, y)) (targets g q x)) (Digraph.nodes g)
 
 let count_pairs g q = List.length (select_pairs g q)
 
-let is_answer g q ~src ~dst =
-  let nfa = Rpq.nfa q in
-  let visited, _, m = forward g q src ~want_parents:false in
-  m > 0 && List.exists (fun qf -> visited.((dst * m) + qf)) (Nfa.finals nfa)
-
 let witness g q ~src ~dst =
   let nfa = Rpq.nfa q in
-  if Nfa.n_states nfa = 0 then None
-  else begin
-    (* BFS again but stopping at the first final product state located at
-       dst; parents give the walk. *)
-    let m = Nfa.n_states nfa in
-    let n = Digraph.n_nodes g in
-    let visited = Array.make (n * m) false in
-    let parent = Array.make (n * m) None in
-    let queue = Queue.create () in
-    let push idx p =
-      if not visited.(idx) then begin
-        visited.(idx) <- true;
-        parent.(idx) <- p;
-        Queue.add idx queue
-      end
-    in
-    List.iter (fun q0 -> push ((src * m) + q0) None) (Nfa.starts nfa);
-    let goal = ref None in
-    while !goal = None && not (Queue.is_empty queue) do
-      let idx = Queue.pop queue in
-      let u = idx / m and qs = idx mod m in
-      if u = dst && Nfa.is_final nfa qs then goal := Some idx
-      else
-        List.iter
-          (fun (lbl, u') ->
-            let sym = Digraph.label_name g lbl in
-            List.iter (fun qd -> push ((u' * m) + qd) (Some (idx, sym))) (Nfa.delta_sym nfa qs sym))
-          (Digraph.out_edges g u)
-    done;
-    match !goal with
-    | None -> None
-    | Some idx ->
-        let rec unroll idx word walk =
-          let u = idx / m in
-          match parent.(idx) with
-          | None -> { Witness.word; walk = u :: walk }
-          | Some (prev, sym) -> unroll prev (sym :: word) (u :: walk)
-        in
-        Some (unroll idx [] [])
-  end
+  Witness.search g q src ~goal:(fun y qs -> y = dst && Nfa.is_final nfa qs)
+
+let is_answer g q ~src ~dst = witness g q ~src ~dst <> None
 
 let agree_with_monadic g q =
   let monadic = Eval.select g q in

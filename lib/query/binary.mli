@@ -4,8 +4,8 @@
     the textbook RPQ semantics selects {e pairs}: [(x, y)] is an answer
     iff some walk from [x] to [y] spells a word of the language. This
     module provides that semantics as a natural extension — the demo's
-    future audience would expect both — built on the same product
-    construction as {!Eval}.
+    future audience would expect both — built on {!Witness.search}, the
+    forward product search (so [l~] steps an edge backwards here too).
 
     The monadic semantics is recovered as: [x] is selected iff
     [(x, y)] is an answer for some [y]. *)

@@ -1,5 +1,5 @@
 module Digraph = Gps_graph.Digraph
-module Nfa = Gps_automata.Nfa
+module Csr = Gps_graph.Csr
 
 type t = { var : string; atoms : (Rpq.t * t) list }
 
@@ -7,49 +7,12 @@ let leaf ?(var = "_") () = { var; atoms = [] }
 let pattern ?(var = "x") atoms = { var; atoms }
 let all_of ?var queries = pattern ?var (List.map (fun q -> (q, leaf ())) queries)
 
-(* Backward product BFS seeded only at accepting states located on
-   [targets] nodes. *)
+(* The kernel, seeded only at accepting states located on [targets]
+   nodes. *)
 let select_into g q ~targets =
-  let nfa = Rpq.nfa q in
-  let n = Digraph.n_nodes g and m = Nfa.n_states nfa in
-  if Array.length targets <> n then invalid_arg "Conjunctive.select_into: targets size mismatch";
-  let selected = Array.make n false in
-  if m = 0 then selected
-  else begin
-    let by_label = Array.make (max (Digraph.n_labels g) 1) [] in
-    List.iter
-      (fun (qs, sym, qd) ->
-        match Digraph.label_of_name g sym with
-        | Some lbl -> by_label.(lbl) <- (qs, qd) :: by_label.(lbl)
-        | None -> ())
-      (Nfa.transitions nfa);
-    let can_accept = Array.make (n * m) false in
-    let queue = Queue.create () in
-    let push v qs =
-      let idx = (v * m) + qs in
-      if not can_accept.(idx) then begin
-        can_accept.(idx) <- true;
-        Queue.add idx queue
-      end
-    in
-    let finals = Nfa.finals nfa in
-    for v = 0 to n - 1 do
-      if targets.(v) then List.iter (fun qf -> push v qf) finals
-    done;
-    while not (Queue.is_empty queue) do
-      let idx = Queue.pop queue in
-      let v' = idx / m and q' = idx mod m in
-      List.iter
-        (fun (lbl, v) ->
-          List.iter (fun (qs, qd) -> if qd = q' then push v qs) by_label.(lbl))
-        (Digraph.in_edges g v')
-    done;
-    let starts = Nfa.starts nfa in
-    for v = 0 to n - 1 do
-      selected.(v) <- List.exists (fun q0 -> can_accept.((v * m) + q0)) starts
-    done;
-    selected
-  end
+  if Array.length targets <> Digraph.n_nodes g then
+    invalid_arg "Conjunctive.select_into: targets size mismatch";
+  fst (Result.get_ok (Eval.run ~targets (Eval.Frozen (g, Csr.freeze g)) q))
 
 let rec select g p =
   let n = Digraph.n_nodes g in

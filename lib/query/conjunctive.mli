@@ -7,8 +7,8 @@
     root variable and atoms [root -L(q)-> child-pattern]; a node matches
     iff for every atom some q-walk leads from it to a node matching the
     child. Tree shape keeps evaluation polynomial — one bottom-up pass,
-    each step a targeted product BFS — while covering the acyclic CRPQs
-    users actually write.
+    each step one {!Eval.run} seeded at the child's matches — while
+    covering the acyclic CRPQs users actually write.
 
     The root is the selected variable, as in the paper's monadic
     semantics. *)
@@ -34,9 +34,10 @@ val select_nodes : Gps_graph.Digraph.t -> t -> Gps_graph.Digraph.node list
 val count : Gps_graph.Digraph.t -> t -> int
 
 val select_into : Gps_graph.Digraph.t -> Rpq.t -> targets:bool array -> bool array
-(** The evaluation kernel, exposed for reuse: nodes with a q-walk ending
-    at a node marked in [targets]. [Eval.select] is the special case
-    [targets = all true]. *)
+(** One step of the pass, exposed for reuse: nodes with a q-walk ending
+    at a node marked in [targets] ({!Eval.run} with [~targets]).
+    [Eval.select] is the special case [targets = all true]. Raises
+    [Invalid_argument] unless [targets] has one entry per node. *)
 
 val pp : Format.formatter -> t -> unit
 (** [x(q1 -> y(...), q2 -> z)]. *)

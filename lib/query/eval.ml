@@ -32,12 +32,17 @@ let checkpoint_interval = 512
    with [qs -lbl-> q']. The backward product step — "which (v, qs)
    precede (v', q')?" — then walks the graph's in-edges once and indexes
    straight into the matching transition sources, instead of filtering a
-   per-label transition list on [qd = q'] for every edge. Transitions on
-   labels the graph does not know can never fire and are dropped. *)
+   per-label transition list on [qd = q'] for every edge. An inverse
+   symbol [l~] is keyed past every forward key, at [inv + l * m + q'],
+   and is matched against out-edges; the index only grows that second
+   half when the query has an inverse transition. Transitions on labels
+   the graph does not know can never fire and are dropped. *)
 type plan = {
   n : int;  (* graph nodes *)
   m : int;  (* automaton states *)
-  rev_off : int array;  (* length n_labels * m + 1 *)
+  inv : int;  (* n_labels * m: the first inverse key *)
+  two_way : bool;  (* some transition steps an edge backwards *)
+  rev_off : int array;  (* length n_labels * m + 1, doubled when [two_way] *)
   rev_src : int array;
   starts : int list;
   finals : int list;
@@ -49,37 +54,35 @@ type plan = {
    plus overlay). *)
 let build_plan ~n ~n_labels ~label_of_name nfa =
   let m = Nfa.n_states nfa in
-  let keys = n_labels * m in
+  let inv = n_labels * m in
   let trans =
     List.filter_map
       (fun (qs, sym, qd) ->
-        match label_of_name sym with
-        | Some lbl -> Some (qs, lbl, qd)
+        match label_of_name (Rpq.base_label sym) with
+        | Some lbl -> Some (qs, (if Rpq.is_inverse sym then inv else 0) + (lbl * m) + qd)
         | None -> None)
       (Nfa.transitions nfa)
   in
+  let two_way = List.exists (fun (_, k) -> k >= inv) trans in
+  let keys = if two_way then 2 * inv else inv in
   let rev_off = Array.make (keys + 1) 0 in
-  List.iter
-    (fun (_, lbl, qd) ->
-      let k = (lbl * m) + qd in
-      rev_off.(k + 1) <- rev_off.(k + 1) + 1)
-    trans;
+  List.iter (fun (_, k) -> rev_off.(k + 1) <- rev_off.(k + 1) + 1) trans;
   for k = 1 to keys do
     rev_off.(k) <- rev_off.(k) + rev_off.(k - 1)
   done;
   let rev_src = Array.make (max rev_off.(keys) 1) 0 in
   let cursor = Array.copy rev_off in
   List.iter
-    (fun (qs, lbl, qd) ->
-      let k = (lbl * m) + qd in
+    (fun (qs, k) ->
       rev_src.(cursor.(k)) <- qs;
       cursor.(k) <- cursor.(k) + 1)
     trans;
-  { n; m; rev_off; rev_src; starts = Nfa.starts nfa; finals = Nfa.finals nfa }
+  { n; m; inv; two_way; rev_off; rev_src; starts = Nfa.starts nfa; finals = Nfa.finals nfa }
 
 (* ------------------------------------------------------------------ *)
-(* The one shared kernel: backward product BFS from all accepting
-   product states over reversed product edges.
+(* The one shared kernel: backward product BFS from the accepting
+   product states (on every node, or on the caller's targets) over
+   reversed product edges.
 
    Product states are int-encoded as [v * m + q]. Every state enters the
    queue at most once, so a single [n * m] int array doubles as the
@@ -96,21 +99,25 @@ type stats = {
   interrupted : Deadline.reason option;  (* [Some _] iff the BFS stopped early *)
 }
 
-(* The kernel is abstract over how in-edges are iterated. Each backing
+(* The kernel is abstract over how edges are iterated. Each backing
    instantiates the functor once, so the expansion loop below
    specializes per backing at compile time — per edge the mapped file
    costs exactly what the heap CSR costs: an offset probe, a cell read
-   and the closure call that already existed. *)
+   and the closure call that already existed. Out-edges are only walked
+   when the plan has an inverse transition. *)
 module type ADJACENCY = sig
   type g
 
   val iter_in : g -> int -> (int -> int -> unit) -> unit
   (** [iter_in g v f] calls [f label source] for every in-edge of [v]. *)
+
+  val iter_out : g -> int -> (int -> int -> unit) -> unit
+  (** [iter_out g v f] calls [f label destination] for every out-edge of [v]. *)
 end
 
 module Make_kernel (A : ADJACENCY) = struct
-  let run ~want_dist ~deadline plan adj =
-    let { n; m; rev_off; rev_src; finals; _ } = plan in
+  let run ~want_dist ~deadline ~targets plan adj =
+    let { n; m; inv; two_way; rev_off; rev_src; finals; _ } = plan in
     let size = n * m in
     let mem = Bitset.create size in
     let dist = if want_dist then Some (Array.make (max size 1) (-1)) else None in
@@ -119,17 +126,20 @@ module Make_kernel (A : ADJACENCY) = struct
     in
     let queue = Array.make (max size 1) 0 in
     let head = ref 0 and tail = ref 0 in
-    (* seed: every accepting product state, at distance 0 *)
+    (* seed: every accepting product state on a target node, at distance 0 *)
     for v = 0 to n - 1 do
-      List.iter
-        (fun qf ->
-          let idx = (v * m) + qf in
-          if Bitset.test_and_set mem idx then begin
-            set_dist idx 0;
-            queue.(!tail) <- idx;
-            incr tail
-          end)
-        finals
+      match targets with
+      | Some t when not t.(v) -> ()
+      | _ ->
+          List.iter
+            (fun qf ->
+              let idx = (v * m) + qf in
+              if Bitset.test_and_set mem idx then begin
+                set_dist idx 0;
+                queue.(!tail) <- idx;
+                incr tail
+              end)
+            finals
     done;
     let dedup = ref 0 in
     (* Cooperative cancellation. [guarded] keeps the no-deadline hot path
@@ -146,6 +156,19 @@ module Make_kernel (A : ADJACENCY) = struct
     in
     let stopping () = guarded && Option.is_some !interrupted in
     let level = ref 0 and levels = ref [] in
+    (* push every (v, qs) whose [key] transition leads into the state
+       being expanded *)
+    let push_preds key v =
+      for k = rev_off.(key) to rev_off.(key + 1) - 1 do
+        let pidx = (v * m) + rev_src.(k) in
+        if Bitset.test_and_set mem pidx then begin
+          set_dist pidx !level;
+          queue.(!tail) <- pidx;
+          incr tail
+        end
+        else incr dedup
+      done
+    in
     if guarded then poll ();
     while !head < !tail && not (stopping ()) do
       incr level;
@@ -163,17 +186,9 @@ module Make_kernel (A : ADJACENCY) = struct
          end);
         let idx = queue.(!head) in
         let v' = idx / m and q' = idx mod m in
-        A.iter_in adj v' (fun lbl v ->
-            let key = (lbl * m) + q' in
-            for k = rev_off.(key) to rev_off.(key + 1) - 1 do
-              let pidx = (v * m) + rev_src.(k) in
-              if Bitset.test_and_set mem pidx then begin
-                set_dist pidx !level;
-                queue.(!tail) <- pidx;
-                incr tail
-              end
-              else incr dedup
-            done);
+        A.iter_in adj v' (fun lbl v -> push_preds ((lbl * m) + q') v);
+        (* (v, qs) -l~-> (v', q') walks an edge v' -l-> v backwards *)
+        if two_way then A.iter_out adj v' (fun lbl v -> push_preds (inv + (lbl * m) + q') v);
         incr head
       done;
       if guarded then poll ()
@@ -195,23 +210,32 @@ module Heap_kernel = Make_kernel (struct
   type g = Csr.t
 
   let iter_in = Csr.iter_in
+  let iter_out = Csr.iter_out
 end)
 
 (* The mapped fast path reads the base file's offset/cell arrays
    directly — same flat-array shape as the heap CSR, with the label and
-   source unpacked from one cell. *)
+   endpoint unpacked from one cell. *)
 module Base_adj = struct
-  type g = { off : Disk_csr.int_arr; cells : Disk_csr.int_arr }
+  type g = {
+    in_off : Disk_csr.int_arr;
+    in_cells : Disk_csr.int_arr;
+    out_off : Disk_csr.int_arr;
+    out_cells : Disk_csr.int_arr;
+  }
 
   let bits = Disk_csr.node_bits
   let mask = Disk_csr.node_mask
 
-  let iter_in g v f =
-    let lo = g.off.{v} and hi = g.off.{v + 1} in
+  let scan off cells v f =
+    let lo = off.{v} and hi = off.{v + 1} in
     for i = lo to hi - 1 do
-      let c = Bigarray.Array1.unsafe_get g.cells i in
+      let c = Bigarray.Array1.unsafe_get cells i in
       f (c lsr bits) (c land mask)
     done
+
+  let iter_in g v f = scan g.in_off g.in_cells v f
+  let iter_out g v f = scan g.out_off g.out_cells v f
 end
 
 module Base_kernel = Make_kernel (Base_adj)
@@ -222,6 +246,7 @@ module View_kernel = Make_kernel (struct
   type g = Disk_csr.view
 
   let iter_in = Disk_csr.iter_in
+  let iter_out = Disk_csr.iter_out
 end)
 
 (* ------------------------------------------------------------------ *)
@@ -250,19 +275,24 @@ let plan_of_source source nfa =
       build_plan ~n:(Disk_csr.n_nodes view) ~n_labels:(Disk_csr.n_labels view)
         ~label_of_name:(Disk_csr.label_of_name view) nfa
 
-let run_on_source ~want_dist ~deadline plan = function
-  | Frozen (_, csr) -> Heap_kernel.run ~want_dist ~deadline plan csr
+let run_on_source ~want_dist ~deadline ~targets plan = function
+  | Frozen (_, csr) -> Heap_kernel.run ~want_dist ~deadline ~targets plan csr
   | Mapped view ->
       if Disk_csr.overlay_is_empty view then
-        Base_kernel.run ~want_dist ~deadline plan
-          { Base_adj.off = Disk_csr.base_in_off view; cells = Disk_csr.base_in_cells view }
-      else View_kernel.run ~want_dist ~deadline plan view
+        Base_kernel.run ~want_dist ~deadline ~targets plan
+          {
+            Base_adj.in_off = Disk_csr.base_in_off view;
+            in_cells = Disk_csr.base_in_cells view;
+            out_off = Disk_csr.base_out_off view;
+            out_cells = Disk_csr.base_out_cells view;
+          }
+      else View_kernel.run ~want_dist ~deadline ~targets plan view
 
 (* Run the kernel and publish counters/span attributes — the shared tail
    of every public entry point. *)
-let kernel sp ~deadline ~want_dist source nfa =
+let kernel sp ~deadline ~want_dist ~targets source nfa =
   let plan = plan_of_source source nfa in
-  let mem, dist, stats = run_on_source ~want_dist ~deadline plan source in
+  let mem, dist, stats = run_on_source ~want_dist ~deadline ~targets plan source in
   Counter.incr c_runs;
   Counter.add c_states (plan.n * plan.m);
   Counter.add c_visits stats.visits;
@@ -450,67 +480,41 @@ let count_selected sel = Array.fold_left (fun acc b -> if b then acc + 1 else ac
 
 (* Evaluate [nfa] on [source]: the selection, the EXPLAIN report of the
    run and, if the deadline fired, why it stopped. *)
-let evaluate sp ~deadline source nfa =
+let evaluate sp ~deadline ~targets source nfa =
   if Nfa.n_states nfa = 0 then
     let n = source_nodes source in
     (Array.make n false, empty_report ~graph_nodes:n, None)
   else begin
-    let plan, mem, _, stats = kernel sp ~deadline ~want_dist:false source nfa in
+    let plan, mem, _, stats = kernel sp ~deadline ~want_dist:false ~targets source nfa in
     let sel = selected_of_mem plan mem in
     (sel, report_of_stats plan ~selected:(count_selected sel) stats, stats.interrupted)
   end
-
-let selection sp source nfa =
-  let sel, _, _ = evaluate sp ~deadline:Deadline.none source nfa in
-  sel
-
-let as_result (sel, report, interrupted) =
-  match interrupted with
-  | None -> Ok (sel, report)
-  | Some reason -> Error { reason; partial = report }
 
 let source_span = function
   | Frozen _ -> "eval.select_frozen"
   | Mapped _ -> "eval.select_mapped"
 
-let select_nfa g nfa =
-  Trace.with_span "eval.select" @@ fun sp -> selection sp (Frozen (g, Csr.freeze g)) nfa
-
-let select ?domains:_ g q = select_nfa g (Rpq.nfa q)
-
-let select_source source q =
-  Trace.with_span (source_span source) @@ fun sp -> selection sp source (Rpq.nfa q)
-
-let select_frozen g csr q = select_source (Frozen (g, csr)) q
-let select_mapped view q = select_source (Mapped view) q
-
-let select_report g q =
+let select ?domains:_ g q =
   Trace.with_span "eval.select" @@ fun sp ->
-  let sel, report, _ = evaluate sp ~deadline:Deadline.none (Frozen (g, Csr.freeze g)) (Rpq.nfa q) in
-  (sel, report)
+  let sel, _, _ =
+    evaluate sp ~deadline:Deadline.none ~targets:None (Frozen (g, Csr.freeze g)) (Rpq.nfa q)
+  in
+  sel
 
-let select_report_result ?(deadline = Deadline.none) g q =
-  Trace.with_span "eval.select" @@ fun sp ->
-  as_result (evaluate sp ~deadline (Frozen (g, Csr.freeze g)) (Rpq.nfa q))
-
-let select_source_report_result ?(deadline = Deadline.none) source q =
+let run ?(deadline = Deadline.none) ?targets source q =
+  (match targets with
+  | Some t when Array.length t <> source_nodes source -> invalid_arg "Eval.run: targets size mismatch"
+  | _ -> ());
   Trace.with_span (source_span source) @@ fun sp ->
-  as_result (evaluate sp ~deadline source (Rpq.nfa q))
+  match evaluate sp ~deadline ~targets source (Rpq.nfa q) with
+  | sel, report, None -> Ok (sel, report)
+  | _, partial, Some reason -> Error { reason; partial }
 
-let select_frozen_result ?deadline g csr q =
-  Result.map fst (select_source_report_result ?deadline (Frozen (g, csr)) q)
-
-let select_result ?deadline g q = Result.map fst (select_report_result ?deadline g q)
-
-let select_via_dfa g q =
-  let module Dfa = Gps_automata.Dfa in
-  select_nfa g (Dfa.to_nfa (Dfa.minimize (Dfa.determinize (Rpq.nfa q))))
+let select_source_report_result = run
 
 let select_nodes g q =
   let sel = select g q in
   List.filter (fun v -> sel.(v)) (List.init (Array.length sel) Fun.id)
-
-let selects g q v = (select g q).(v)
 
 let consistent g q ~pos ~neg =
   let sel = select g q in
@@ -526,7 +530,7 @@ let witness_lengths g q =
   if m = 0 then result
   else begin
     let plan, _, dist, _ =
-      kernel sp ~deadline:Deadline.none ~want_dist:true (Frozen (g, Csr.freeze g)) nfa
+      kernel sp ~deadline:Deadline.none ~want_dist:true ~targets:None (Frozen (g, Csr.freeze g)) nfa
     in
     let dist = Option.get dist in
     for v = 0 to n - 1 do

@@ -8,30 +8,31 @@
     O(|E| · |Δ| + |V| · |Q|) — this is the engine behind every
     interaction of the system, so it must stay graph-linear.
 
+    Queries may step edges backwards: a symbol [l~] (see
+    {!Rpq.is_inverse}) traverses an [l]-edge from its destination to its
+    source, so [cinema~.tram~] selects the cinemas whose district some
+    tram line enters (two-way RPQs).
+
     {2 The kernel}
 
-    Every entry point below routes through one shared, cache-tight,
-    sequential kernel: a frozen {!Gps_graph.Csr} adjacency snapshot, a
-    flat CSR-style reverse transition index keyed by [(label, state)]
-    (no per-edge transition-list filtering), a {!Gps_graph.Bitset}
+    {!run} is the general entry point; {!select} is the same evaluation
+    on a fresh snapshot, and the helpers below build on it. Every one
+    routes through one shared, cache-tight, sequential kernel: an adjacency snapshot (a frozen
+    {!Gps_graph.Csr} or a mapped {!Gps_graph.Disk_csr} view), a flat
+    CSR-style reverse transition index keyed by [(label, state)] (no
+    per-edge transition-list filtering), a {!Gps_graph.Bitset}
     membership table (one bit per product state), and int-encoded
     product states in a flat array queue. The BFS is level-synchronous,
-    so every report narrates its frontier level by level. *)
+    so every report narrates its frontier level by level. Out-edges are
+    walked only when the query has an inverse symbol. *)
 
 val select : ?domains:int -> Gps_graph.Digraph.t -> Rpq.t -> bool array
-(** [select g q].(v) iff [q] selects node [v].
+(** [select g q].(v) iff [q] selects node [v]: {!run} on a fresh
+    snapshot of [g], traced as [eval.select].
 
     [?domains] is accepted and ignored: a compatibility shim for
     [perfbench/_ocaml/inputs.ml], which passes [~domains:1]. Remove it
     in the next benchmark change, together with that argument. *)
-
-val select_frozen : Gps_graph.Digraph.t -> Gps_graph.Csr.t -> Rpq.t -> bool array
-(** Same answer over a prebuilt {!Gps_graph.Csr} snapshot of the same
-    graph (passed alongside for label-name resolution) — skips the
-    per-call freeze, the right entry point for repeated evaluation
-    against one graph (the server's cold path, the learner's
-    consistency oracle). The snapshot must be [Csr.freeze] of exactly
-    this graph. *)
 
 (** {2 EXPLAIN reports}
 
@@ -67,9 +68,6 @@ type report = {
   selected : int;  (** how many nodes the query selects *)
 }
 
-val select_report : Gps_graph.Digraph.t -> Rpq.t -> bool array * report
-(** {!select}, plus the report of the evaluation that produced it. *)
-
 val stop_reason_to_string : stop_reason -> string
 (** ["empty-automaton"], ["saturated"], ["frontier-exhausted"],
     ["timed-out"], ["cancelled"]. *)
@@ -78,41 +76,22 @@ val stop_reason_of_string : string -> (stop_reason, string) result
 
 (** {2 Deadlines and cancellation}
 
-    The [_result] entry points take a {!Gps_obs.Deadline} token and poll
-    it cooperatively — once per BFS level and every few hundred frontier
-    visits inside a level. When it fires they stop promptly and return
-    [Error] carrying the reason and the {e partial} EXPLAIN report of
-    the work done so far (its [stop] field is [Timed_out]/[Cancelled],
-    its [selected] count is the under-approximation discovered before
-    the stop). Without a deadline ([Gps_obs.Deadline.none], the default)
-    they are equivalent to their plain counterparts and the kernel's hot
-    path is unchanged up to one branch per visit. *)
+    {!run} takes a {!Gps_obs.Deadline} token and polls it cooperatively
+    — once per BFS level and every few hundred frontier visits inside a
+    level. When it fires the kernel stops promptly and [run] returns
+    [Error] carrying the reason and the {e partial} EXPLAIN report of the
+    work done so far (its [stop] field is [Timed_out]/[Cancelled], its
+    [selected] count is the under-approximation discovered before the
+    stop). Without a deadline ([Gps_obs.Deadline.none], the default) the
+    result is always [Ok] and the kernel's hot path is unchanged up to
+    one branch per visit. *)
 
 type interrupted = { reason : Gps_obs.Deadline.reason; partial : report }
 
-val select_result :
-  ?deadline:Gps_obs.Deadline.t ->
-  Gps_graph.Digraph.t ->
-  Rpq.t ->
-  (bool array, interrupted) result
-
-val select_frozen_result :
-  ?deadline:Gps_obs.Deadline.t ->
-  Gps_graph.Digraph.t ->
-  Gps_graph.Csr.t ->
-  Rpq.t ->
-  (bool array, interrupted) result
-
-val select_report_result :
-  ?deadline:Gps_obs.Deadline.t ->
-  Gps_graph.Digraph.t ->
-  Rpq.t ->
-  (bool array * report, interrupted) result
-
-(** {2 Out-of-core evaluation}
+(** {2 Evaluation sources}
 
     The kernel is compiled once per adjacency backing (a functor over a
-    minimal in-edge iteration interface), so evaluating against an
+    minimal in/out-edge iteration interface), so evaluating against an
     mmap-backed {!Gps_graph.Disk_csr} view costs the same per edge as
     the heap CSR: an offset probe and a packed-cell read. A view whose
     delta overlay is empty takes the pure flat-array path; with an
@@ -122,21 +101,38 @@ val select_report_result :
 type source =
   | Frozen of Gps_graph.Digraph.t * Gps_graph.Csr.t
       (** A heap graph with its frozen snapshot (the snapshot must be
-          [Csr.freeze] of exactly that graph). *)
+          [Csr.freeze] of exactly that graph). Reusing one snapshot skips
+          the per-call freeze: the server's cold path and the learner's
+          consistency oracle evaluate this way. *)
   | Mapped of Gps_graph.Disk_csr.view
-      (** An mmap-backed packed graph, delta overlay included. *)
+      (** An mmap-backed packed graph, delta overlay included; index [v]
+          of a selection is the node with id [v] (overlay nodes included,
+          past the base count). *)
 
-val select_mapped : Gps_graph.Disk_csr.view -> Rpq.t -> bool array
-(** {!select} against a mapped view; index [v] of the result is the
-    node with id [v] (overlay nodes included, past the base count). *)
-
-val select_source_report_result :
+val run :
   ?deadline:Gps_obs.Deadline.t ->
+  ?targets:bool array ->
   source ->
   Rpq.t ->
   (bool array * report, interrupted) result
-(** The backing-generic entry point the server routes through: same
-    kernel, same deadline semantics as {!select_report_result}. *)
+(** [run source q]: the selection of [q] on [source] and the report of
+    the evaluation that produced it. With [?targets], the accepting
+    seeds are restricted to the marked nodes, so [v] is selected iff
+    some walk from [v] spelling a word of [L(q)] ends at a target
+    (default: every node; raises [Invalid_argument] when the array's
+    length is not the node count). Traced as [eval.select_frozen] or
+    [eval.select_mapped]. *)
+
+val select_source_report_result :
+  ?deadline:Gps_obs.Deadline.t ->
+  ?targets:bool array ->
+  source ->
+  Rpq.t ->
+  (bool array * report, interrupted) result
+(** {!run} under its former name: a compatibility shim for
+    [perfbench/_ocaml/traced.ml], which times it as [eval.kernel_ns].
+    Nothing else may call it. Remove it in the next benchmark change,
+    together with that call. *)
 
 val report_to_json : report -> Gps_graph.Json.value
 val report_of_json : Gps_graph.Json.value -> (report, string) result
@@ -147,16 +143,8 @@ val pp_report : Format.formatter -> report -> unit
 (** An aligned key/value block for terminals; levels render as
     ["1:12 2:40"] (index:frontier). *)
 
-val select_via_dfa : Gps_graph.Digraph.t -> Rpq.t -> bool array
-(** Same answer computed against the determinized-and-minimized query
-    automaton instead of the NFA. A smaller automaton shrinks the product,
-    but determinization can blow the automaton up — the [--exp eval]
-    ablation of the benchmark harness measures this trade-off. *)
-
 val select_nodes : Gps_graph.Digraph.t -> Rpq.t -> Gps_graph.Digraph.node list
 (** Selected nodes in ascending id order. *)
-
-val selects : Gps_graph.Digraph.t -> Rpq.t -> Gps_graph.Digraph.node -> bool
 
 val consistent :
   Gps_graph.Digraph.t ->

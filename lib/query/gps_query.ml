@@ -8,7 +8,6 @@ module Pathlang = Pathlang
 module Witness = Witness
 module Metrics = Metrics
 module Binary = Binary
-module Twoway = Twoway
 module Rewrite = Rewrite
 module Incremental = Incremental
 module Conjunctive = Conjunctive

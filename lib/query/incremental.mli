@@ -7,6 +7,9 @@
     typically touching a small fraction of the product instead of
     recomputing it (the [--exp incremental] benchmark quantifies this).
 
+    Inverse symbols ([l~]) are followed as {!Eval} follows them, so the
+    table agrees with a from-scratch evaluation on two-way queries too.
+
     Usage: evaluate once with {!create}, then interleave {!add_edge}
     (which must mirror every [Digraph.add_edge] on the underlying graph)
     with O(1) {!selected} queries. *)
@@ -16,7 +19,8 @@ type t
 val create : Gps_graph.Digraph.t -> Rpq.t -> t
 (** Evaluates eagerly. The graph must only grow afterwards, and only
     through {!add_edge} (node additions need no notification until an
-    edge touches them; new nodes are accommodated automatically). *)
+    edge touches them: a node no edge has touched is selected iff the
+    query accepts the empty word). *)
 
 val add_edge : t -> src:Gps_graph.Digraph.node -> label:string -> dst:Gps_graph.Digraph.node -> unit
 (** Record that [src -label-> dst] was just added to the graph (after the

@@ -31,4 +31,4 @@ let covers g nodes w =
           in
           not (Iset.is_empty (List.fold_left step (Iset.of_list nodes) word)))
 
-let disjoint_from g v q = not (Eval.selects g q v)
+let disjoint_from g v q = not (Eval.select g q).(v)

@@ -11,7 +11,7 @@
 val specialize : Gps_graph.Digraph.t -> Rpq.t -> Rpq.t
 (** Replace out-of-alphabet symbols by ∅ and renormalize. The selected
     node set is unchanged; the language generally shrinks. Inverse
-    symbols ([l~], see {!Twoway}) are judged by their base label. *)
+    symbols ([l~], see {!Rpq.is_inverse}) are judged by their base label. *)
 
 val dead_symbols : Gps_graph.Digraph.t -> Rpq.t -> string list
 (** The symbols the specialization would remove, sorted. *)

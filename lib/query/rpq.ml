@@ -23,6 +23,13 @@ let nfa t = t.nfa
 
 let matches_word t w = Nfa.accepts t.nfa w
 
+let is_inverse sym =
+  let n = String.length sym in
+  n > 0 && sym.[n - 1] = '~'
+
+let base_label sym = if is_inverse sym then String.sub sym 0 (String.length sym - 1) else sym
+let inverse label = label ^ "~"
+
 let equal_lang a b =
   (* compare the automata directly — avoids forcing state elimination *)
   let module Dfa = Gps_automata.Dfa in

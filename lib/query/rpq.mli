@@ -24,6 +24,19 @@ val nfa : t -> Gps_automata.Nfa.t
 val matches_word : t -> string list -> bool
 (** Word membership (labels by name). *)
 
+val is_inverse : string -> bool
+(** Whether a symbol names an inverse step: a trailing [~], as in
+    [cinema~], traverses a [cinema]-edge backwards (two-way RPQs, the
+    class the survey the paper builds on calls 2RPQs). A symbol ending
+    in [~] always means the inverse of its base label. *)
+
+val base_label : string -> string
+(** [base_label "tram~"] is ["tram"]; identity on plain symbols. *)
+
+val inverse : string -> string
+(** [inverse "tram"] is ["tram~"], the symbol that steps a [tram]-edge
+    backwards. *)
+
 val equal_lang : t -> t -> bool
 val to_string : t -> string
 val pp : Format.formatter -> t -> unit

@@ -299,7 +299,7 @@ let evaluate_cached t (entry : Catalog.entry) ?ev ?(explain = false) ?(deadline 
          neither pays per-edge dispatch *)
       let source = Catalog.eval_source entry in
       let sel, report =
-        match Gps_query.Eval.select_source_report_result ~deadline source q with
+        match Gps_query.Eval.run ~deadline source q with
         | Ok (sel, r) ->
             let report =
               if want_report then

@@ -62,7 +62,7 @@ let test_version () = check "semver-ish" true (String.length Gps.version >= 5)
 let test_two_way_and_conjunction () =
   let g = Gps.Graph.Datasets.figure1 () in
   Alcotest.(check (list string)) "two-way inverse step" [ "C1"; "C2" ]
-    (Gps.evaluate_two_way g (Gps.parse_query_exn "cinema~"));
+    (Gps.evaluate g (Gps.parse_query_exn "cinema~"));
   Alcotest.(check (list string)) "conjunction" [ "N1"; "N2"; "N6" ]
     (Gps.evaluate_all_of g
        [ Gps.parse_query_exn "bus"; Gps.parse_query_exn "(tram+bus)*.cinema" ])

@@ -1,10 +1,11 @@
-(* Tests for the third wave of extensions: CSR snapshots, two-way RPQs,
-   the word-level learner. *)
+(* Tests for the third wave of extensions: CSR snapshots, two-way RPQs
+   (inverse symbols, evaluated by the one kernel), the word-level
+   learner. *)
 
 open Gps_graph
 module Rpq = Gps_query.Rpq
 module Eval = Gps_query.Eval
-module Twoway = Gps_query.Twoway
+module Witness = Gps_query.Witness
 module Word_learner = Gps_learning.Word_learner
 
 let check = Alcotest.(check bool)
@@ -56,31 +57,24 @@ let test_csr_eval_agrees () =
   List.iter
     (fun qs ->
       let q = Rpq.of_string_exn qs in
-      check ("frozen eval agrees on " ^ qs) true (Eval.select g q = Eval.select_frozen g csr q))
+      check ("frozen eval agrees on " ^ qs) true
+        (Result.map fst (Eval.run (Eval.Frozen (g, csr)) q) = Ok (Eval.select g q)))
     [ "cinema"; "(tram+bus)*.cinema"; "metro*.park"; "zzz"; "eps" ]
 
 (* -------------------------------------------------------------------- *)
-(* Twoway (2RPQ) *)
+(* two-way queries (2RPQ) *)
 
 let test_twoway_symbols () =
-  check "inverse" true (Twoway.is_inverse "tram~");
-  check "plain" false (Twoway.is_inverse "tram");
-  Alcotest.(check string) "base" "tram" (Twoway.base_label "tram~");
-  Alcotest.(check string) "base id" "tram" (Twoway.base_label "tram")
-
-let test_twoway_plain_queries_agree () =
-  let g = Datasets.figure1 () in
-  List.iter
-    (fun qs ->
-      let q = Rpq.of_string_exn qs in
-      check ("agrees with Eval on " ^ qs) true (Twoway.select g q = Eval.select g q))
-    [ "(tram+bus)*.cinema"; "bus"; "tram*.restaurant"; "eps"; "zzz" ]
+  check "inverse" true (Rpq.is_inverse "tram~");
+  check "plain" false (Rpq.is_inverse "tram");
+  Alcotest.(check string) "base" "tram" (Rpq.base_label "tram~");
+  Alcotest.(check string) "base id" "tram" (Rpq.base_label "tram")
 
 let test_twoway_inverse_step () =
   (* from a cinema, step back into its district: C1 -cinema~-> N4 *)
   let g = Datasets.figure1 () in
   let q = Rpq.of_string_exn "cinema~" in
-  let sel = List.map (Digraph.node_name g) (Twoway.select_nodes g q) in
+  let sel = List.map (Digraph.node_name g) (Eval.select_nodes g q) in
   Alcotest.(check (list string)) "cinemas can step back" [ "C1"; "C2" ] (List.sort compare sel)
 
 let test_twoway_facility_to_facility () =
@@ -88,33 +82,52 @@ let test_twoway_facility_to_facility () =
      restaurant~ . (tram+bus)* . cinema — starting FROM the facility *)
   let g = Datasets.figure1 () in
   let q = Rpq.of_string_exn "restaurant~.(tram+bus)*.cinema" in
-  let sel = List.map (Digraph.node_name g) (Twoway.select_nodes g q) in
+  let sel = List.map (Digraph.node_name g) (Eval.select_nodes g q) in
   (* R2's district is N3 (no cinema reachable); R1's is N5 (no cinema).
      So nobody. *)
   Alcotest.(check (list string)) "no restaurant qualifies here" [] sel;
   (* but on transpole, facilities sit on well-connected stops *)
   let t = Datasets.transpole () in
   let q2 = Rpq.of_string_exn "restaurant~.(metro+tram+bus)*.cinema" in
-  let sel2 = List.map (Digraph.node_name t) (Twoway.select_nodes t q2) in
+  let sel2 = List.map (Digraph.node_name t) (Eval.select_nodes t q2) in
   check "Wazemmes market reaches a cinema" true (List.mem "Marche_Wazemmes" sel2)
+
+let test_twoway_every_surface () =
+  let g = Datasets.figure1 () in
+  let names sel =
+    List.sort compare
+      (List.filter_map
+         (fun v -> if sel.(v) then Some (Digraph.node_name g v) else None)
+         (Digraph.nodes g))
+  in
+  List.iter
+    (fun (qs, expected) ->
+      let q = Rpq.of_string_exn qs in
+      let same what got = Alcotest.(check (list string)) (what ^ " on " ^ qs) expected got in
+      same "Gps.evaluate" (Gps.evaluate g q);
+      same "Eval.run" (names (fst (Result.get_ok (Eval.run (Eval.Frozen (g, Csr.freeze g)) q))));
+      same "Conjunctive" (Gps.evaluate_all_of g [ q ]);
+      same "Incremental" (names (Gps_query.Incremental.select (Gps_query.Incremental.create g q)));
+      same "Binary.targets"
+        (names (Array.init (Digraph.n_nodes g) (fun v -> Gps_query.Binary.targets g q v <> []))))
+    [ ("bus~", [ "N1"; "N3"; "N4" ]); ("cinema~.tram~", [ "C1" ]) ]
 
 let test_twoway_witness () =
   let g = Datasets.figure1 () in
   let q = Rpq.of_string_exn "cinema~.tram~" in
   (* C1 <-cinema- N4 <-tram- N1 *)
-  match Twoway.witness g q (node g "C1") with
-  | Some steps ->
-      check_int "two steps" 2 (List.length steps);
-      let first = List.hd steps in
-      check "first is inverse" true first.Twoway.inverse;
-      Alcotest.(check string) "renders with back arrow" "C1 <-cinema- N4"
-        (Format.asprintf "%a" (Twoway.pp_step g) first)
+  match Witness.find g q (node g "C1") with
+  | Some w ->
+      check_int "two steps" 2 (List.length w.Witness.word);
+      check "first is inverse" true (Rpq.is_inverse (List.hd w.Witness.word));
+      Alcotest.(check string) "renders with back arrows" "C1 <-cinema- N4 <-tram- N1"
+        (Format.asprintf "%a" (Witness.pp g) w)
   | None -> Alcotest.fail "witness expected"
 
 let test_twoway_witness_none () =
   let g = Datasets.figure1 () in
   check "unselected node has no witness" true
-    (Twoway.witness g (Rpq.of_string_exn "cinema") (node g "N5") = None)
+    (Witness.find g (Rpq.of_string_exn "cinema") (node g "N5") = None)
 
 (* -------------------------------------------------------------------- *)
 (* Word_learner *)
@@ -177,7 +190,7 @@ let qcheck_tests =
   in
   let gen_regex =
     Gen.(
-      let sym = oneofl [ "a"; "b"; "c" ] in
+      let sym = oneofl [ "a"; "b"; "c"; "a~"; "b~" ] in
       fix
         (fun self n ->
           if n <= 1 then map Gps_regex.Regex.sym sym
@@ -193,20 +206,12 @@ let qcheck_tests =
   in
   let arb_regex = make ~print:Gps_regex.Regex.to_string gen_regex in
   [
-    Test.make ~name:"frozen evaluation agrees with lists" ~count:300 (pair arb_graph arb_regex)
-      (fun (g, r) ->
-        let q = Rpq.of_regex r in
-        Eval.select g q = Eval.select_frozen g (Csr.freeze g) q);
-    Test.make ~name:"two-way agrees with one-way on inverse-free queries" ~count:300
-      (pair arb_graph arb_regex) (fun (g, r) ->
-        let q = Rpq.of_regex r in
-        Twoway.select g q = Eval.select g q);
     Test.make ~name:"two-way witness exists iff selected" ~count:200
       (pair arb_graph arb_regex) (fun (g, r) ->
         let q = Rpq.of_regex r in
-        let sel = Twoway.select g q in
+        let sel = Eval.select g q in
         Digraph.fold_nodes
-          (fun acc v -> acc && (Twoway.witness g q v <> None) = sel.(v))
+          (fun acc v -> acc && (Witness.find g q v <> None) = sel.(v))
           true g);
     Test.make ~name:"word learner output is consistent with its sample" ~count:200
       (make
@@ -233,9 +238,9 @@ let suite =
     ( "ext3.twoway",
       [
         t "symbols" test_twoway_symbols;
-        t "plain queries" test_twoway_plain_queries_agree;
         t "inverse step" test_twoway_inverse_step;
         t "facility to facility" test_twoway_facility_to_facility;
+        t "one answer on every surface" test_twoway_every_surface;
         t "witness" test_twoway_witness;
         t "no witness" test_twoway_witness_none;
       ] );

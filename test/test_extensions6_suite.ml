@@ -69,6 +69,32 @@ let test_incremental_new_nodes () =
   check "fresh node selected" true (Incremental.selected inc n7);
   check "agrees" true (Incremental.agrees_with_scratch inc)
 
+let test_incremental_isolated_node () =
+  (* a node no edge touches yet is selected by a nullable query, before
+     and after an unrelated insertion *)
+  let g = Datasets.figure1 () in
+  let q = Rpq.of_string_exn "bus*" in
+  let inc = Incremental.create g q in
+  let x = Digraph.add_node g "X" in
+  check "isolated node selected" true (Incremental.selected inc x);
+  check "agrees" true (Incremental.agrees_with_scratch inc);
+  Digraph.add_edge g ~src:(node g "N5") ~label:"restaurant" ~dst:(node g "R2");
+  Incremental.add_edge inc ~src:(node g "N5") ~label:"restaurant" ~dst:(node g "R2");
+  check "still selected" true (Incremental.selected inc x);
+  check "still agrees" true (Incremental.agrees_with_scratch inc)
+
+let test_incremental_two_way () =
+  (* C2 <-cinema- N6 <-tram- N5 once the tram edge exists *)
+  let g = Datasets.figure1 () in
+  let q = Rpq.of_string_exn "cinema~.tram~" in
+  let inc = Incremental.create g q in
+  check_int "only C1" 1 (Incremental.count inc);
+  check "C1" true (Incremental.selected inc (node g "C1"));
+  Digraph.add_edge g ~src:(node g "N5") ~label:"tram" ~dst:(node g "N6");
+  Incremental.add_edge inc ~src:(node g "N5") ~label:"tram" ~dst:(node g "N6");
+  check "C2 now selected" true (Incremental.selected inc (node g "C2"));
+  check "agrees" true (Incremental.agrees_with_scratch inc)
+
 let test_incremental_chain_propagation () =
   (* adding one edge at the far end must flip a whole chain *)
   let g = Generators.chain ~length:5 ~label:"a" in
@@ -141,6 +167,8 @@ let suite =
         t "irrelevant label" test_incremental_irrelevant_label;
         t "new nodes" test_incremental_new_nodes;
         t "chain propagation" test_incremental_chain_propagation;
+        t "isolated node, nullable query" test_incremental_isolated_node;
+        t "two-way query" test_incremental_two_way;
       ] );
     ("ext6.properties", List.map QCheck_alcotest.to_alcotest qcheck_tests);
   ]

@@ -176,11 +176,6 @@ let qcheck_tests =
         let conj = Conjunctive.select g (Conjunctive.all_of [ q1; q2 ]) in
         let s1 = Eval.select g q1 and s2 = Eval.select g q2 in
         Array.for_all Fun.id (Array.mapi (fun i c -> c = (s1.(i) && s2.(i))) conj));
-    Test.make ~name:"select_into with all-true targets = Eval.select" ~count:200 arb_graph
-      (fun g ->
-        let query = q "a.b" in
-        let targets = Array.make (Digraph.n_nodes g) true in
-        Conjunctive.select_into g query ~targets = Eval.select g query);
     Test.make ~name:"repair suggestions restore consistency" ~count:100 arb_graph (fun g ->
         (* force conflicts: positives = two random nodes, negatives = two
            others; suggestions (if any) must each repair the sample *)

@@ -171,7 +171,8 @@ let test_csr_and_reach_on_stored_graph () =
       let csr = Csr.freeze g in
       let idx = Reach.build g in
       let q = Rpq.of_string_exn "x.x.y" in
-      check "frozen eval" true (Eval.select_frozen g csr q = Eval.select g q);
+      check "frozen eval" true
+        (Result.map fst (Eval.run (Eval.Frozen (g, csr)) q) = Ok (Eval.select g q));
       check "reach across compaction" true
         (Reach.reachable idx
            (Option.get (Digraph.node_of_name g "a"))

@@ -234,6 +234,8 @@ let test_overlay () =
 let queries =
   [ "(tram+bus)*.cinema"; "metro.metro*"; "bus"; "in~.tram"; "(tram+metro)*.museum" ]
 
+let select_mapped v q = fst (Result.get_ok (Eval.run (Eval.Mapped v) q))
+
 let test_eval_equivalence () =
   let g = city ~districts:10 ~seed:11 () in
   with_packed g (fun _path d ->
@@ -242,7 +244,7 @@ let test_eval_equivalence () =
         (fun qs ->
           let q = parse qs in
           let heap = Eval.select g q in
-          let mapped = Eval.select_mapped (Disk.snapshot d) q in
+          let mapped = select_mapped (Disk.snapshot d) q in
           check Alcotest.(array bool) (qs ^ " base") heap mapped)
         queries;
       (* overlay: new edges, a new node, a new label *)
@@ -257,12 +259,12 @@ let test_eval_equivalence () =
         (fun qs ->
           let q = parse qs in
           let heap = Eval.select g' q in
-          let mapped = Eval.select_mapped v q in
+          let mapped = select_mapped v q in
           check Alcotest.(array bool) (qs ^ " overlay") heap mapped)
         ("funicular.(tram+bus)*" :: queries);
-      (* report-producing generic entry point agrees too *)
+      (* the report agrees too *)
       let q = parse "(tram+bus)*.cinema" in
-      match Eval.select_source_report_result (Eval.Mapped v) q with
+      match Eval.run (Eval.Mapped v) q with
       | Ok (sel, report) ->
           check Alcotest.(array bool) "source report sel" (Eval.select g' q) sel;
           check Alcotest.int "report nodes" (Digraph.n_nodes g') report.Eval.graph_nodes
@@ -287,7 +289,7 @@ let test_incremental_agrees_over_overlay () =
           Incremental.add_edge inc ~src ~label:l ~dst)
         overlay_edges;
       check Alcotest.bool "agrees with scratch" true (Incremental.agrees_with_scratch inc);
-      let mapped = Eval.select_mapped (Disk.snapshot d) q in
+      let mapped = select_mapped (Disk.snapshot d) q in
       check Alcotest.(array bool) "incremental = mapped overlay" (Incremental.select inc) mapped)
 
 (* ------------------------------------------------------------------ *)
@@ -316,7 +318,7 @@ let test_pack_uniform_deterministic () =
       let v = Disk.snapshot d in
       let g = Disk.to_digraph v in
       let q = parse "a.b*" in
-      check Alcotest.(array bool) "eval" (Eval.select g q) (Eval.select_mapped v q))
+      check Alcotest.(array bool) "eval" (Eval.select g q) (select_mapped v q))
 
 (* ------------------------------------------------------------------ *)
 (* qcache: label-aware delta invalidation *)
@@ -492,6 +494,35 @@ let test_server_ooc () =
               Out_channel.output_string oc "this is not a packed graph at all, not even close");
           expect_err "bad-file" (Srv.handle t (P.Load_file { name = "junk"; path = junk }))))
 
+(* Inverse symbols on the mapped path: the kernel walks the base file's
+   out-cells, then the overlay's out-edges, and the cache invalidates
+   [l~] entries on a batch of [l] edges. *)
+let test_server_twoway () =
+  with_packed (Gps_graph.Datasets.figure1 ()) (fun path _ ->
+      let t = Srv.create () in
+      (match Srv.handle t (P.Load_file { name = "f1"; path }) with
+      | P.Loaded _ -> ()
+      | r -> Alcotest.failf "load_file failed: %s" (P.response_to_string r));
+      let ask q =
+        expect_answer
+          (Srv.handle t (P.Query { graph = "f1"; query = q; explain = false; deadline_ms = None }))
+      in
+      let answer q = List.sort compare (fst (ask q)) in
+      check Alcotest.(list string) "bus~ on the base" [ "N1"; "N3"; "N4" ] (answer "bus~");
+      check Alcotest.(list string) "cinema~.tram~ on the base" [ "C1" ] (answer "cinema~.tram~");
+      check Alcotest.bool "bus~ cached" true (snd (ask "bus~") = `Hit);
+      (match Srv.handle t (P.Add_edges { graph = "f1"; edges = [ ("N5", "bus", "X") ] }) with
+      | P.Edges_added { new_nodes; invalidated; _ } ->
+          check Alcotest.int "new node" 1 new_nodes;
+          check Alcotest.int "only the bus~ entry goes" 1 invalidated
+      | r -> Alcotest.failf "add_edges failed: %s" (P.response_to_string r));
+      check Alcotest.bool "cinema~.tram~ stayed warm" true (snd (ask "cinema~.tram~") = `Hit);
+      check Alcotest.bool "bus~ re-evaluates" true (snd (ask "bus~") = `Miss);
+      check Alcotest.(list string) "bus~ over the overlay" [ "N1"; "N3"; "N4"; "X" ] (answer "bus~");
+      ignore (Srv.handle t (P.Add_edges { graph = "f1"; edges = [ ("N5", "tram", "N6") ] }));
+      check Alcotest.(list string) "cinema~.tram~ over the overlay" [ "C1"; "C2" ]
+        (answer "cinema~.tram~"))
+
 (* ------------------------------------------------------------------ *)
 (* store: compaction emits the binary snapshot *)
 
@@ -552,6 +583,7 @@ let suite =
         Alcotest.test_case "qcache label-aware delta invalidation" `Quick test_qcache_delta;
         Alcotest.test_case "catalog file backing" `Quick test_catalog_file_backing;
         Alcotest.test_case "load_file / add_edges end to end" `Quick test_server_ooc;
+        Alcotest.test_case "two-way queries over the overlay" `Quick test_server_twoway;
         Alcotest.test_case "store compaction emits binary snapshot" `Quick
           test_store_compact_snapshot;
       ] );

@@ -5,7 +5,7 @@
 open Gps_graph
 module Rpq = Gps_query.Rpq
 module Eval = Gps_query.Eval
-module Twoway = Gps_query.Twoway
+module Incremental = Gps_query.Incremental
 module Deriv = Gps_regex.Deriv
 
 (* ------------------------------------------------------------------ *)
@@ -104,17 +104,19 @@ let qcheck_tests =
       (pair arb_graph (make ~print:Gps_regex.Regex.to_string gen_starfree_twoway))
       (fun (g, r) ->
         let bound = Gps_regex.Regex.size r in
-        Twoway.select g (Rpq.of_regex r) = brute_two_way g r ~bound);
+        Eval.select g (Rpq.of_regex r) = brute_two_way g r ~bound);
     Test.make ~name:"all four one-way evaluators agree with brute force" ~count:250
       (pair arb_graph (make ~print:Gps_regex.Regex.to_string gen_starfree_oneway))
       (fun (g, r) ->
         let q = Rpq.of_regex r in
         let bound = Gps_regex.Regex.size r in
         let reference = brute_select g r ~bound in
+        let module Dfa = Gps_automata.Dfa in
+        let via_dfa = Rpq.of_nfa (Dfa.to_nfa (Dfa.minimize (Dfa.determinize (Rpq.nfa q)))) in
         Eval.select g q = reference
-        && Eval.select_via_dfa g q = reference
-        && Eval.select_frozen g (Csr.freeze g) q = reference
-        && Twoway.select g q = reference);
+        && Eval.select g via_dfa = reference
+        && Result.map fst (Eval.run (Eval.Frozen (g, Csr.freeze g)) q) = Ok reference
+        && Incremental.select (Incremental.create g q) = reference);
     Test.make ~name:"witness_lengths lower-bounds every accepted walk" ~count:200
       (pair arb_graph (make ~print:Gps_regex.Regex.to_string gen_starfree_oneway))
       (fun (g, r) ->

@@ -204,12 +204,14 @@ let test_rpq_of_nfa_roundtrip () =
 
 (* The reference oracle shares no code with the kernel: a forward BFS
    from (v, r) over (node, Brzozowski derivative) pairs, where an edge
-   u -a-> w leads from (u, d) to (w, derive a d). Node v is selected iff
-   the search reaches a pair whose derivative is nullable, and the depth
-   of the first such pair is its shortest witness length. The search
-   terminates: the smart constructors keep alternations flat, sorted and
-   deduplicated, so a regex has finitely many distinct derivatives. *)
-let reference_lengths g r =
+   u -a-> w leads from (u, d) to (w, derive a d) and, read backwards,
+   from (w, d) to (u, derive a~ d). Node v is selected iff the search
+   reaches a pair on a [target] node whose derivative is nullable, and
+   the depth of the first such pair is its shortest witness length. The
+   search terminates: the smart constructors keep alternations flat,
+   sorted and deduplicated, so a regex has finitely many distinct
+   derivatives. *)
+let reference_lengths ?(target = fun _ -> true) g r =
   let module Regex = Gps_regex.Regex in
   let module Deriv = Gps_regex.Deriv in
   Array.init (Digraph.n_nodes g) (fun v ->
@@ -222,17 +224,35 @@ let reference_lengths g r =
         end
       in
       let step (u, d) =
+        let along suffix (lbl, w) = (w, Deriv.derive (Digraph.label_name g lbl ^ suffix) d) in
         List.filter visit
-          (List.map
-             (fun (lbl, w) -> (w, Deriv.derive (Digraph.label_name g lbl) d))
-             (Digraph.out_edges g u))
+          (List.map (along "") (Digraph.out_edges g u) @ List.map (along "~") (Digraph.in_edges g u))
       in
       let rec bfs depth = function
         | [] -> None
-        | frontier when List.exists (fun (_, d) -> Regex.nullable d) frontier -> Some depth
+        | frontier when List.exists (fun (w, d) -> target w && Regex.nullable d) frontier ->
+            Some depth
         | frontier -> bfs (depth + 1) (List.concat_map step frontier)
       in
       bfs 0 (List.filter visit [ (v, r) ]))
+
+(* [w] is a walk from [v] spelling a word of [query]: a step on [l]
+   follows an edge u -l-> u', a step on [l~] an edge u' -l-> u. *)
+let witness_ok g query v (w : Witness.t) =
+  let edge src l dst =
+    List.exists (fun (lbl, d) -> d = dst && Digraph.label_name g lbl = l) (Digraph.out_edges g src)
+  in
+  let rec steps = function
+    | [ _ ], [] -> true
+    | u :: (u' :: _ as walk), sym :: word ->
+        (if Rpq.is_inverse sym then edge u' (Rpq.base_label sym) u else edge u sym u')
+        && steps (walk, word)
+    | _ -> false
+  in
+  Rpq.matches_word query w.word && List.hd w.walk = v && steps (w.walk, w.word)
+
+(* The selection and EXPLAIN report of [query] on a fresh snapshot. *)
+let report g query = Result.get_ok (Eval.run (Frozen (g, Csr.freeze g)) query)
 
 (* [f] over a freshly packed, mmapped copy of [g]; the file is removed
    afterwards. *)
@@ -280,47 +300,54 @@ let qcheck_tests =
         6)
   in
   let arb_starfree = make ~print:Gps_regex.Regex.to_string gen_regex in
-  (* with star: richer automata (cycles in the product), checked against
-     the derivative-search reference, which needs no length bound *)
+  (* with star and inverse symbols: richer automata (cycles in the
+     product, backward steps), checked against the derivative-search
+     reference, which needs no length bound; a quarter are the PathForge
+     shapes AQ1-AQ28 over the same symbols *)
   let gen_regex_starred =
     Gen.(
-      let sym = oneofl [ "a"; "b"; "c" ] in
-      fix
-        (fun self n ->
-          if n <= 1 then map Gps_regex.Regex.sym sym
-          else
-            frequency
-              [
-                (3, map Gps_regex.Regex.sym sym);
-                ( 2,
-                  map2
-                    (fun a b -> Gps_regex.Regex.alt [ a; b ])
-                    (self (n / 2)) (self (n / 2)) );
-                ( 3,
-                  map2
-                    (fun a b -> Gps_regex.Regex.seq [ a; b ])
-                    (self (n / 2)) (self (n / 2)) );
-                (2, map Gps_regex.Regex.star (self (n / 2)));
-              ])
-        8)
+      let sym = oneofl [ "a"; "b"; "c"; "a~"; "b~" ] in
+      let random =
+        fix
+          (fun self n ->
+            if n <= 1 then map Gps_regex.Regex.sym sym
+            else
+              frequency
+                [
+                  (3, map Gps_regex.Regex.sym sym);
+                  ( 2,
+                    map2
+                      (fun a b -> Gps_regex.Regex.alt [ a; b ])
+                      (self (n / 2)) (self (n / 2)) );
+                  ( 3,
+                    map2
+                      (fun a b -> Gps_regex.Regex.seq [ a; b ])
+                      (self (n / 2)) (self (n / 2)) );
+                  (2, map Gps_regex.Regex.star (self (n / 2)));
+                ])
+          8
+      in
+      let pattern =
+        let* p = oneofl Gps_workload.Pattern.all in
+        map3 (fun a b c -> Gps_workload.Pattern.instantiate p ~a ~b ~c) sym sym sym
+      in
+      frequency [ (3, random); (1, pattern) ])
   in
   let arb_starred = make ~print:Gps_regex.Regex.to_string gen_regex_starred in
-  let arb_small_graph =
+  let arb_case =
     make
       Gen.(
-        let* n = int_range 1 6 in
-        let* m = int_range 0 14 in
+        let* n = int_range 1 12 in
+        let* m = int_range 0 30 in
         let* seed = int_range 0 10_000 in
-        return (Generators.uniform ~nodes:n ~edges:m ~labels:[ "a"; "b"; "c" ] ~seed))
-  in
-  (* an overlay batch: edges by name, possibly to a node and under a
-     label the packed base does not know *)
-  let arb_batch =
-    make
-      Gen.(
-        let node = map (fun i -> if i = 6 then "fresh" else Printf.sprintf "v%d" i) (int_range 0 6) in
-        list_size (int_range 1 4)
-          (triple node (oneofl [ "a"; "b"; "c"; "d" ]) node))
+        let g = Generators.uniform ~nodes:n ~edges:m ~labels:[ "a"; "b"; "c" ] ~seed in
+        (* the conjunctive seed set *)
+        let* targets = array_repeat n bool in
+        (* an insertion batch: edges by name, possibly to a node and
+           under a label the graph does not know *)
+        let node = map (fun i -> if i = n then "fresh" else Printf.sprintf "v%d" i) (int_bound n) in
+        let* batch = list_size (int_range 1 6) (triple node (oneofl [ "a"; "b"; "c"; "d" ]) node) in
+        return (g, targets, batch))
   in
   [
     Test.make ~name:"product eval = brute-force on star-free queries" ~count:300
@@ -374,40 +401,85 @@ let qcheck_tests =
         Array.for_all Fun.id (Array.mapi (fun i b -> (not b) || s2.(i)) s1));
     (* -- every evaluation path against one independent reference -------- *)
     Test.make ~name:"every evaluation path = derivative-search reference" ~count:250
-      (triple arb_small_graph arb_starred arb_batch) (fun (g, r, batch) ->
+      (pair arb_case arb_starred) (fun ((g, targets, batch), r) ->
         let query = Rpq.of_regex r in
+        let n = Digraph.n_nodes g in
         let lengths = reference_lengths g r in
         let expected = Array.map Option.is_some lengths in
+        let selection = function Ok (sel, _) -> Some sel | Error _ -> None in
+        let names node_name sel =
+          List.sort compare
+            (List.filter_map
+               (fun v -> if sel.(v) then Some (node_name v) else None)
+               (List.init (Array.length sel) Fun.id))
+        in
+        (* the batch applied to a heap copy: the reference after it *)
+        let g' = Digraph.copy g in
+        List.iter (fun (src, lbl, dst) -> Digraph.link g' src lbl dst) batch;
+        let expected' = Array.map Option.is_some (reference_lengths g' r) in
         let packed_ok =
           with_packed g (fun packed ->
-              let base_ok =
-                Eval.select_mapped (Disk_csr.snapshot packed) query = expected
-              in
+              let base = selection (Eval.run (Mapped (Disk_csr.snapshot packed)) query) in
               ignore (Disk_csr.add_edges packed batch);
               let view = Disk_csr.snapshot packed in
-              let g' = Digraph.copy g in
-              List.iter (fun (src, lbl, dst) -> Digraph.link g' src lbl dst) batch;
-              let names sel node_name =
-                List.sort compare
-                  (List.filter_map
-                     (fun v -> if sel.(v) then Some (node_name v) else None)
-                     (List.init (Array.length sel) Fun.id))
+              base = Some expected
+              && Option.map (names (Disk_csr.node_name view)) (selection (Eval.run (Mapped view) query))
+                 = Some (names (Digraph.node_name g') expected'))
+        in
+        let dfa_ok =
+          let module Dfa = Gps_automata.Dfa in
+          Eval.select g (Rpq.of_nfa (Dfa.to_nfa (Dfa.minimize (Dfa.determinize (Rpq.nfa query)))))
+          = expected
+        in
+        let conjunctive_ok =
+          Conjunctive.select_into g query ~targets
+          = Array.map Option.is_some (reference_lengths ~target:(fun v -> targets.(v)) g r)
+          && Conjunctive.select_into g query ~targets:(Array.make n true) = expected
+        in
+        (* incremental: one isolated new node, then the batch one edge at
+           a time, agreeing with a fresh evaluation after every step *)
+        let incremental_ok =
+          let gi = Digraph.copy g in
+          let inc = Incremental.create gi query in
+          ignore (Digraph.add_node gi "isolated");
+          let id name = Option.get (Digraph.node_of_name gi name) in
+          List.for_all
+            (fun (src, label, dst) ->
+              Digraph.link gi src label dst;
+              Incremental.add_edge inc ~src:(id src) ~label ~dst:(id dst);
+              Incremental.agrees_with_scratch inc)
+            batch
+          && Incremental.select inc = Array.map Option.is_some (reference_lengths gi r)
+        in
+        let witnesses_ok =
+          Digraph.fold_nodes
+            (fun acc v ->
+              let binary =
+                List.filter_map
+                  (fun dst -> Option.map (fun w -> (dst, w)) (Binary.witness g query ~src:v ~dst))
+                  (Digraph.nodes g)
               in
-              base_ok
-              && names (Eval.select_mapped view query) (Disk_csr.node_name view)
-                 = names (Array.map Option.is_some (reference_lengths g' r))
-                     (Digraph.node_name g'))
+              acc
+              && (match Witness.find g query v with
+                 | Some w -> witness_ok g query v w && Some (List.length w.word) = lengths.(v)
+                 | None -> lengths.(v) = None)
+              && (binary <> []) = expected.(v)
+              && List.map fst binary = Binary.targets g query v
+              && List.for_all
+                   (fun (dst, (w : Witness.t)) ->
+                     witness_ok g query v w && List.nth w.walk (List.length w.word) = dst)
+                   binary)
+            true g
         in
         Eval.select g query = expected
-        && Eval.select_frozen g (Csr.freeze g) query = expected
-        && Eval.select_via_dfa g query = expected
+        && fst (report g query) = expected
         && Eval.witness_lengths g query = lengths
-        && packed_ok);
+        && packed_ok && dfa_ok && conjunctive_ok && incremental_ok && witnesses_ok);
     (* -- explain reports ------------------------------------------------ *)
     Test.make ~name:"select_report agrees with select and survives its JSON codec" ~count:150
       (pair arb_graph arb_starred) (fun (g, r) ->
         let query = Rpq.of_regex r in
-        let sel, report = Eval.select_report g query in
+        let sel, report = report g query in
         let count = Array.fold_left (fun acc b -> if b then acc + 1 else acc) 0 sel in
         sel = Eval.select g query
         && report.Eval.selected = count
@@ -427,7 +499,7 @@ let qcheck_tests =
 
 let test_report_figure1 () =
   let g = Datasets.figure1 () in
-  let sel, r = Eval.select_report g (q "(tram+bus)*.cinema") in
+  let sel, r = report g (q "(tram+bus)*.cinema") in
   check_int "selected count" (List.length Datasets.figure1_expected)
     r.Eval.selected;
   check "selection unchanged" true (sel = Eval.select g (q "(tram+bus)*.cinema"));
@@ -454,7 +526,7 @@ let test_report_stop_reasons () =
   let nothing =
     Rpq.of_nfa (Gps_automata.Nfa.make ~n_states:0 ~starts:[] ~finals:[] ~trans:[])
   in
-  let sel, r = Eval.select_report g nothing in
+  let sel, r = report g nothing in
   check "empty automaton selects nothing" true (Array.for_all not sel);
   check "empty automaton stop reason" true (r.Eval.stop = Eval.Empty_automaton);
   check "no levels ran" true (r.Eval.report_levels = [] && r.Eval.frontier_visits = 0);
@@ -464,7 +536,7 @@ let test_report_stop_reasons () =
   let a = Digraph.add_node g1 "a" and b = Digraph.add_node g1 "b" in
   Digraph.add_edge g1 ~src:a ~label:"x" ~dst:b;
   Digraph.add_edge g1 ~src:b ~label:"x" ~dst:a;
-  let _, r = Eval.select_report g1 (q "x*") in
+  let _, r = report g1 (q "x*") in
   check "x* on an x-cycle saturates its product" true (r.Eval.stop = Eval.Saturated);
   check_int "everything selected" 2 r.Eval.selected;
   (* stop reasons round-trip as strings *)
@@ -481,7 +553,7 @@ let test_report_stop_reasons () =
 
 let test_report_json_shape () =
   let g = Datasets.figure1 () in
-  let _, r = Eval.select_report g (q "bus") in
+  let _, r = report g (q "bus") in
   let j = Eval.report_to_json r in
   (match Json.member "stop" j with
   | Some (Json.String _) -> ()

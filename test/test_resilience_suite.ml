@@ -126,17 +126,18 @@ let prop_combine_takes_earlier =
 (* cooperative cancellation in the evaluation kernel *)
 
 let queries = [ "bus"; "(tram+bus)*.cinema"; "(bus+tram)*"; "tram.tram*" ]
+let frozen g = Eval.Frozen (g, Csr.freeze g)
 
 let test_eval_none_equivalence () =
   let g = Datasets.figure1 () in
   List.iter
     (fun qs ->
       let plain = Eval.select g (q qs) in
-      (match Eval.select_result g (q qs) with
-      | Ok sel -> check "no deadline: Ok and equal" true (sel = plain)
+      (match Eval.run (frozen g) (q qs) with
+      | Ok (sel, _) -> check "no deadline: Ok and equal" true (sel = plain)
       | Error _ -> Alcotest.fail "no deadline must not interrupt");
-      match Eval.select_result ~deadline:(D.after_ms 1e7) g (q qs) with
-      | Ok sel -> check "far deadline: Ok and equal" true (sel = plain)
+      match Eval.run ~deadline:(D.after_ms 1e7) (frozen g) (q qs) with
+      | Ok (sel, _) -> check "far deadline: Ok and equal" true (sel = plain)
       | Error _ -> Alcotest.fail "far deadline must not interrupt")
     queries
 
@@ -144,7 +145,7 @@ let test_eval_pre_cancelled () =
   let g = Datasets.figure1 () in
   let tok = D.token () in
   D.cancel tok;
-  match Eval.select_report_result ~deadline:tok g (q "(tram+bus)*.cinema") with
+  match Eval.run ~deadline:tok (frozen g) (q "(tram+bus)*.cinema") with
   | Ok _ -> Alcotest.fail "pre-cancelled token must interrupt"
   | Error { Eval.reason; partial } ->
       check "reason is Cancelled" true (reason = D.Cancelled);
@@ -153,7 +154,7 @@ let test_eval_pre_cancelled () =
 
 let test_eval_pre_expired () =
   let g = Datasets.figure1 () in
-  match Eval.select_report_result ~deadline:(D.after_ms 0.0) g (q "(tram+bus)*.cinema") with
+  match Eval.run ~deadline:(D.after_ms 0.0) (frozen g) (q "(tram+bus)*.cinema") with
   | Ok _ -> Alcotest.fail "pre-expired deadline must interrupt"
   | Error { Eval.reason; partial } ->
       check "reason is Timed_out" true (reason = D.Timed_out);
@@ -165,7 +166,7 @@ let test_eval_prompt_termination () =
   let g = Generators.uniform ~nodes:4000 ~edges:12_000 ~labels:[ "a"; "b"; "c" ] ~seed:7 in
   let heavy = q "(a+b+c)*.(a+b)*.(b+c)*.a" in
   let t0 = Gps_obs.Clock.now_ns () in
-  (match Eval.select_report_result ~deadline:(D.after_ms 1.0) g heavy with
+  (match Eval.run ~deadline:(D.after_ms 1.0) (frozen g) heavy with
   | Error { Eval.reason = D.Timed_out; partial } ->
       check "partial stop recorded" true (partial.Eval.stop = Eval.Timed_out)
   | Error { Eval.reason = D.Cancelled; _ } -> Alcotest.fail "nothing cancelled this run"
@@ -176,7 +177,7 @@ let test_eval_prompt_termination () =
 let test_eval_cancel_counters () =
   let g = Datasets.figure1 () in
   let before = counter "eval.cancel_checks" in
-  (match Eval.select_result ~deadline:(D.after_ms 1e7) g (q "(tram+bus)*.cinema") with
+  (match Eval.run ~deadline:(D.after_ms 1e7) (frozen g) (q "(tram+bus)*.cinema") with
   | Ok _ -> ()
   | Error _ -> Alcotest.fail "far deadline must not interrupt");
   check "guarded run publishes cancel checks" true
