@@ -138,6 +138,7 @@ let run () =
     Json.Object
       [
         ("experiment", Json.String "baseline");
+        Workloads.host_json ();
         ( "graph",
           Json.Object
             [

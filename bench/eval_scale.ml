@@ -72,16 +72,6 @@ let best_of n f =
   done;
   !best
 
-(* The checkout's commit, "-dirty" when the tree has uncommitted
-   changes; "unknown" outside a git checkout. *)
-let commit () =
-  match Unix.open_process_in "git describe --always --dirty --abbrev=12 2>/dev/null" with
-  | ic ->
-      let line = try input_line ic with End_of_file -> "" in
-      ignore (Unix.close_process_in ic);
-      if line = "" then "unknown" else line
-  | exception Unix.Unix_error _ -> "unknown"
-
 let run () =
   let tiny =
     match Sys.getenv_opt "GPS_EVAL_SCALE" with Some "tiny" -> true | _ -> false
@@ -116,13 +106,7 @@ let run () =
     Json.Object
       [
         ("experiment", Json.String "eval_scale");
-        ( "host",
-          Json.Object
-            [
-              ("cores", int_j (Domain.recommended_domain_count ()));
-              ("ocaml", Json.String Sys.ocaml_version);
-              ("commit", Json.String (commit ()));
-            ] );
+        Workloads.host_json ();
         ("query", Json.String "(tram+bus)*.cinema");
         ("repeats_best_of", int_j repeats);
         ("sizes", Json.Array rows);

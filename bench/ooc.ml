@@ -10,8 +10,8 @@
      first-query latency an operator sees right after [load_file];
    - warm mmap: the same query re-run on the already-faulted mapping;
    - warm heap: materialize + [Csr.freeze] (timed separately) and the
-     same query on the frozen heap CSR — the baseline the mapped path
-     is allowed to approach but not beat;
+     same query on the frozen heap CSR. Both run the one flat kernel
+     over the same Csr layout, so [mapped_vs_heap] reads about 1;
    - ingest:    overlay append throughput, batches of fresh edges
      through {!Gps.Graph.Disk_csr.add_edges}, plus the warm-mapped
      query latency again with the overlay in place.
@@ -19,7 +19,8 @@
    Every mapped evaluation is checked bit-for-bit against the heap
    evaluation of the same rung before any timing is reported. Timings
    are best-of-3 wall clock (cold mmap is necessarily once-per-pack:
-   it re-packs per repeat so each run really is cold).
+   it re-packs per repeat so each run really is cold). The document
+   opens with its host block.
 
    GPS_OOC=tiny shrinks the ladder for CI smoke runs. *)
 
@@ -132,6 +133,7 @@ let run () =
     Json.Object
       [
         ("experiment", Json.String "ooc");
+        Workloads.host_json ();
         ("query", Json.String query);
         ("labels", Json.Array (List.map (fun l -> Json.String l) labels));
         ("repeats_best_of", int_j repeats);

@@ -125,13 +125,7 @@ let run () =
     Json.Object
       [
         ("experiment", Json.String "session_scale");
-        ( "host",
-          Json.Object
-            [
-              ("cores", int_j (Domain.recommended_domain_count ()));
-              ("ocaml", Json.String Sys.ocaml_version);
-              ("commit", Json.String (Eval_scale.commit ()));
-            ] );
+        Workloads.host_json ();
         ("strategy", Json.String "smart");
         ("user", Json.String "perfect");
         ("budget_s_per_size", num budget_s);

@@ -33,6 +33,29 @@ let bio_queries = Gps.Workload.Mix.paper_bio_queries
 
 let q s = Gps.parse_query_exn s
 
+(* The checkout's commit, "-dirty" when the tree has uncommitted
+   changes; "unknown" outside a git checkout. *)
+let commit () =
+  match Unix.open_process_in "git describe --always --dirty --abbrev=12 2>/dev/null" with
+  | ic ->
+      let line = try input_line ic with End_of_file -> "" in
+      ignore (Unix.close_process_in ic);
+      if line = "" then "unknown" else line
+  | exception Unix.Unix_error _ -> "unknown"
+
+(* The host block a committed BENCH_*.json opens with (cores, OCaml
+   version, commit), so it is only ever compared with one from the same
+   host. *)
+let host_json () =
+  let module Json = Gps.Graph.Json in
+  ( "host",
+    Json.Object
+      [
+        ("cores", Json.Number (float_of_int (Domain.recommended_domain_count ())));
+        ("ocaml", Json.String Sys.ocaml_version);
+        ("commit", Json.String (commit ()));
+      ] )
+
 let mean = function
   | [] -> nan
   | l -> List.fold_left ( +. ) 0.0 l /. float_of_int (List.length l)

@@ -1,4 +1,4 @@
-type int_arr = (int, Bigarray.int_elt, Bigarray.c_layout) Bigarray.Array1.t
+type int_arr = Csr.int_arr
 type char_arr = (char, Bigarray.int8_unsigned_elt, Bigarray.c_layout) Bigarray.Array1.t
 
 let word = 8
@@ -17,9 +17,6 @@ let magic_word =
   done;
   !w
 
-let node_bits = 40
-let node_mask = (1 lsl node_bits) - 1
-let max_labels = 1 lsl (62 - node_bits)
 let pad8 n = (n + 7) land lnot 7
 
 (* Integrity trailer, appended after the packed payload: 8 magic bytes,
@@ -36,12 +33,8 @@ let trailer_bytes = 24
 type base = {
   b_path : string;
   n : int;
-  m : int;
   nl : int;
-  out_off : int_arr;  (* n+1 *)
-  in_off : int_arr;  (* n+1 *)
-  out_cells : int_arr;  (* m *)
-  in_cells : int_arr;  (* m *)
+  csr : Csr.t;  (* the adjacency sections, read in place *)
   name_off : int_arr;  (* n+1, byte offsets into the name blob *)
   chars : char_arr;  (* the whole file *)
   name_blob_at : int;  (* absolute byte offset of the name blob *)
@@ -130,7 +123,7 @@ let open_base path =
       let label_bytes = ints.{5} and name_bytes = ints.{6} in
       let* () =
         if n >= 0 && m >= 0 && nl >= 0 && label_bytes >= 0 && name_bytes >= 0
-           && n <= node_mask && nl <= max_labels
+           && n <= Csr.max_nodes && nl <= Csr.max_labels
         then Ok ()
         else Error (Corrupted "negative or oversized header field")
       in
@@ -186,12 +179,8 @@ let open_base path =
         {
           b_path = path;
           n;
-          m;
           nl;
-          out_off;
-          in_off;
-          out_cells;
-          in_cells;
+          csr = Csr.of_arrays ~n_labels:nl ~out_off ~in_off ~out_cells ~in_cells;
           name_off;
           chars;
           name_blob_at;
@@ -272,7 +261,7 @@ let open_map path =
 
 let path t = t.base.b_path
 let base_nodes t = t.base.n
-let base_edges t = t.base.m
+let base_edges t = Csr.n_edges t.base.csr
 let base_labels t = t.base.nl
 let file_bytes t = t.base.bytes_total
 let has_trailer t = t.base.stored_crc <> None
@@ -298,13 +287,7 @@ let base_has_edge b ~src ~lbl ~dst =
   if src >= b.n || lbl >= b.nl || dst >= b.n then false
   else begin
     let found = ref false in
-    let lo = b.out_off.{src} and hi = b.out_off.{src + 1} in
-    let cell = (lbl lsl node_bits) lor dst in
-    let i = ref lo in
-    while (not !found) && !i < hi do
-      if Bigarray.Array1.unsafe_get b.out_cells !i = cell then found := true;
-      incr i
-    done;
+    Csr.iter_out b.csr src (fun l d -> if l = lbl && d = dst then found := true);
     !found
   end
 
@@ -392,7 +375,7 @@ type view = { v_base : base; v_ov : overlay }
 
 let snapshot t = { v_base = t.base; v_ov = Atomic.get t.ov }
 let n_nodes v = v.v_base.n + Array.length v.v_ov.x_names
-let n_edges v = v.v_base.m + v.v_ov.o_count
+let n_edges v = Csr.n_edges v.v_base.csr + v.v_ov.o_count
 let n_labels v = v.v_base.nl + Array.length v.v_ov.x_labels
 let view_overlay_edges v = v.v_ov.o_count
 let overlay_is_empty v = v.v_ov.o_count = 0 && Array.length v.v_ov.x_names = 0
@@ -420,9 +403,6 @@ let label_of_name v s =
   | Some _ as r -> r
   | None -> Smap.find_opt s v.v_ov.x_label_ids
 
-let cell_label c = c lsr node_bits
-let cell_node c = c land node_mask
-
 let check_node v id name =
   if id < 0 || id >= n_nodes v then
     invalid_arg (Printf.sprintf "Disk_csr.%s: node %d out of range" name id)
@@ -439,43 +419,25 @@ let overlay_iter_out v id f =
 
 let iter_in v id f =
   check_node v id "iter_in";
-  let b = v.v_base in
-  if id < b.n then begin
-    let lo = b.in_off.{id} and hi = b.in_off.{id + 1} in
-    for i = lo to hi - 1 do
-      let c = Bigarray.Array1.unsafe_get b.in_cells i in
-      f (c lsr node_bits) (c land node_mask)
-    done
-  end;
+  if id < v.v_base.n then Csr.iter_in v.v_base.csr id f;
   overlay_iter_in v id f
 
 let iter_out v id f =
   check_node v id "iter_out";
-  let b = v.v_base in
-  if id < b.n then begin
-    let lo = b.out_off.{id} and hi = b.out_off.{id + 1} in
-    for i = lo to hi - 1 do
-      let c = Bigarray.Array1.unsafe_get b.out_cells i in
-      f (c lsr node_bits) (c land node_mask)
-    done
-  end;
+  if id < v.v_base.n then Csr.iter_out v.v_base.csr id f;
   overlay_iter_out v id f
 
-let base_in_off v = v.v_base.in_off
-let base_in_cells v = v.v_base.in_cells
-let base_out_off v = v.v_base.out_off
-let base_out_cells v = v.v_base.out_cells
-let base_n v = v.v_base.n
+let base v = v.v_base.csr
 
 (* ------------------------------------------------------------------ *)
 (* Packing                                                             *)
 (* ------------------------------------------------------------------ *)
 
 let pack_stream ~path ~n_nodes:n ~n_edges:m ~node_name ~labels ~iter_edges =
-  if n < 0 || n > node_mask then invalid_arg "Disk_csr.pack_stream: node count out of range";
+  if n < 0 || n > Csr.max_nodes then invalid_arg "Disk_csr.pack_stream: node count out of range";
   if m < 0 then invalid_arg "Disk_csr.pack_stream: negative edge count";
   let nl = Array.length labels in
-  if nl > max_labels then invalid_arg "Disk_csr.pack_stream: too many labels";
+  if nl > Csr.max_labels then invalid_arg "Disk_csr.pack_stream: too many labels";
   let label_bytes = Array.fold_left (fun a s -> a + String.length s) 0 labels in
   let name_bytes = ref 0 in
   for v = 0 to n - 1 do
@@ -488,8 +450,7 @@ let pack_stream ~path ~n_nodes:n ~n_edges:m ~node_name ~labels ~iter_edges =
     ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
     (fun () ->
       (* Shared write mapping: map_file extends the file to the mapped
-         size, and the fresh O_TRUNC file reads back as zeros, so the
-         offset regions start out cleared. *)
+         size; Csr.fill lays the adjacency sections out in place. *)
       let chars =
         Bigarray.array1_of_genarray
           (Unix.map_file fd Bigarray.char Bigarray.c_layout true [| total |])
@@ -506,56 +467,15 @@ let pack_stream ~path ~n_nodes:n ~n_edges:m ~node_name ~labels ~iter_edges =
       ints.{5} <- label_bytes;
       ints.{6} <- name_bytes;
       ints.{7} <- 0;
-      let out_off = sub_ints ints (out_off_at n) (n + 1) in
-      let in_off = sub_ints ints (in_off_at n) (n + 1) in
-      let out_cells = sub_ints ints (out_cells_at n) m in
-      let in_cells = sub_ints ints (in_cells_at n m) m in
+      ignore
+        (Csr.fill ~n_labels:nl
+           ~out_off:(sub_ints ints (out_off_at n) (n + 1))
+           ~in_off:(sub_ints ints (in_off_at n) (n + 1))
+           ~out_cells:(sub_ints ints (out_cells_at n) m)
+           ~in_cells:(sub_ints ints (in_cells_at n m) m)
+           iter_edges);
       let label_off = sub_ints ints (label_off_at n m) (nl + 1) in
       let name_off = sub_ints ints (name_off_at n m nl) (n + 1) in
-      let check ~src ~label ~dst =
-        if src < 0 || src >= n || dst < 0 || dst >= n then
-          invalid_arg (Printf.sprintf "Disk_csr.pack_stream: edge endpoint out of range (%d,%d)" src dst);
-        if label < 0 || label >= nl then
-          invalid_arg (Printf.sprintf "Disk_csr.pack_stream: label %d out of range" label)
-      in
-      (* Pass 1: degree counts, straight into the mapped offset cells. *)
-      let seen = ref 0 in
-      iter_edges (fun ~src ~label ~dst ->
-          check ~src ~label ~dst;
-          incr seen;
-          if !seen > m then invalid_arg "Disk_csr.pack_stream: stream longer than n_edges";
-          out_off.{src + 1} <- out_off.{src + 1} + 1;
-          in_off.{dst + 1} <- in_off.{dst + 1} + 1);
-      if !seen <> m then invalid_arg "Disk_csr.pack_stream: stream shorter than n_edges";
-      for v = 1 to n do
-        out_off.{v} <- out_off.{v} + out_off.{v - 1};
-        in_off.{v} <- in_off.{v} + in_off.{v - 1}
-      done;
-      (* Pass 2: fill, using the offset cells themselves as cursors —
-         off.{v} walks from start(v) to end(v) — then shift them back
-         down one slot to restore the offsets. Zero O(n) heap. *)
-      let seen = ref 0 in
-      iter_edges (fun ~src ~label ~dst ->
-          check ~src ~label ~dst;
-          incr seen;
-          if !seen > m then invalid_arg "Disk_csr.pack_stream: pass 2 stream longer than pass 1";
-          let o = out_off.{src} in
-          out_off.{src} <- o + 1;
-          if o >= m then invalid_arg "Disk_csr.pack_stream: pass 2 stream disagrees with pass 1";
-          out_cells.{o} <- (label lsl node_bits) lor dst;
-          let i = in_off.{dst} in
-          in_off.{dst} <- i + 1;
-          if i >= m then invalid_arg "Disk_csr.pack_stream: pass 2 stream disagrees with pass 1";
-          in_cells.{i} <- (label lsl node_bits) lor src);
-      if !seen <> m then invalid_arg "Disk_csr.pack_stream: pass 2 stream shorter than pass 1";
-      for v = n downto 1 do
-        out_off.{v} <- out_off.{v - 1};
-        in_off.{v} <- in_off.{v - 1}
-      done;
-      if n >= 1 then begin
-        out_off.{0} <- 0;
-        in_off.{0} <- 0
-      end;
       (* String sections. *)
       let blob_at = ints_total n m nl * word in
       let cursor = ref blob_at in

@@ -1,14 +1,15 @@
 (** Out-of-core graphs: an mmap-backed binary CSR store with an in-heap
     delta overlay.
 
-    {!Csr} freezes a heap {!Digraph} into int arrays; this module takes
-    the same layout to disk. A packed graph is a single binary file
-    (magic ["GPSCSR01"], fixed word-cell header, offset and packed-edge
-    cell sections, then name/label string blobs) that the server maps
-    read-only with [Unix.map_file] — loading a million-node graph costs
-    one [mmap], not a parse, and the kernel pages only the adjacency it
-    actually touches. Query evaluation reads the mapped cells through
-    {!Bigarray.Array1} exactly like the heap CSR reads its int arrays.
+    {!Csr} is the one read-only adjacency layout; this module takes it
+    to disk. A packed graph is a single binary file (magic
+    ["GPSCSR01"], fixed word-cell header, {!Csr}'s offset and
+    packed-edge cell sections, then name/label string blobs) that the
+    server maps read-only with [Unix.map_file] — loading a million-node
+    graph costs one [mmap], not a parse, and the kernel pages only the
+    adjacency it actually touches. The file's base {e is} a {!Csr.t}
+    over the mapping ({!base}), so query evaluation reads mapped and
+    heap-frozen graphs through the same code.
 
     {2 File format (version 1)}
 
@@ -27,10 +28,11 @@
     - label blob, then name blob (raw UTF-8 bytes), zero-padded to a
       word boundary.
 
-    The packed-cell split caps graphs at 2{^40} nodes and 2{^22} labels
-    — far above anything the rest of the system handles. The magic word
-    doubles as an endianness probe: if the bytes spell the magic but the
-    word read differs, the file was written on a foreign byte order.
+    The packed-cell split ({!Csr.max_nodes}, {!Csr.max_labels}) caps
+    graphs at 2{^40}-1 nodes and 2{^22} labels — far above anything the
+    rest of the system handles. The magic word doubles as an endianness
+    probe: if the bytes spell the magic but the word read differs, the
+    file was written on a foreign byte order.
 
     {2 Delta overlay}
 
@@ -40,8 +42,6 @@
     while one writer at a time extends it. New node and label names
     intern past the base ids. Edge set semantics match {!Digraph}:
     re-adding a triple (base or overlay) is a no-op. *)
-
-type int_arr = (int, Bigarray.int_elt, Bigarray.c_layout) Bigarray.Array1.t
 
 (** {1 Opening} *)
 
@@ -134,32 +134,9 @@ val iter_in : view -> int -> (int -> int -> unit) -> unit
 val iter_out : view -> int -> (int -> int -> unit) -> unit
 (** Iterate [(label, destination)] over out-edges, base then overlay. *)
 
-(** {1 Zero-copy access for the eval kernel}
-
-    The base adjacency of a view as raw mapped arrays, so the product-BFS
-    kernel instantiated for mapped graphs touches exactly the same shape
-    of memory as the heap-CSR kernel: an offset probe plus a packed-cell
-    scan per node, no per-edge dispatch. *)
-
-val base_in_off : view -> int_arr
-val base_in_cells : view -> int_arr
-val base_out_off : view -> int_arr
-val base_out_cells : view -> int_arr
-val base_n : view -> int
-(** Nodes of the base file; views with overlay nodes extend past this. *)
-
-val cell_label : int -> int
-val cell_node : int -> int
-(** Decode a packed cell: [cell_label c = c lsr 40],
-    [cell_node c = c land (2{^40}-1)]. *)
-
-val node_bits : int
-val node_mask : int
-(** The split constants themselves, for callers that inline the decode
-    into a hot loop instead of paying a call per edge. *)
-
-val overlay_iter_in : view -> int -> (int -> int -> unit) -> unit
-(** Overlay in-edges only — what {!iter_in} adds on top of the base. *)
+val base : view -> Csr.t
+(** The mapped base file's adjacency (overlay excluded), read in place.
+    Equal, cell for cell, to [Csr.freeze] of the graph that was packed. *)
 
 (** {1 Packing} *)
 
@@ -174,14 +151,14 @@ val pack_stream :
 (** Write a packed file without materializing the graph in the heap:
     [iter_edges] is invoked exactly twice (degree count, then fill) and
     must replay the identical stream of exactly [n_edges] edges both
-    times — recreate any PRNG from its seed per pass. Edges land in the
-    file through a shared write mapping; the only O(n) state is the
-    file's own mapped pages. [label] is an index into [labels];
-    duplicate triples are kept as-is (packing a {!Digraph} never
+    times — recreate any PRNG from its seed per pass. {!Csr.fill} lays
+    the edges out in the file through a shared write mapping; the only
+    O(n) state is the file's own mapped pages. [label] is an index into
+    [labels]; duplicate triples are kept as-is (packing a {!Digraph} never
     produces them, streamed generators may — selection semantics are
     unaffected).
-    @raise Invalid_argument on out-of-range ids or a stream that does
-    not replay identically. *)
+    @raise Invalid_argument on out-of-range ids or a stream
+    {!Csr.fill} rejects. *)
 
 val pack_digraph : Digraph.t -> path:string -> unit
 (** Pack a heap graph; node/label ids and adjacency are preserved

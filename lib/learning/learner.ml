@@ -59,13 +59,14 @@ let learn_result ?fuel ?max_len ?(deadline = Deadline.none) g sample =
           (* One frozen snapshot for the whole generalization: each
              candidate automaton costs a single shared-kernel evaluation
              checked against every negative at once, instead of one full
-             product BFS per negative node. *)
-          let csr = Gps_graph.Csr.freeze g in
+             product BFS per negative node. Frozen on the first check, so
+             a sample without negatives never pays for it. *)
+          let csr = lazy (Gps_graph.Csr.freeze g) in
           let consistent nfa =
             negatives = []
             ||
             let q = Rpq.of_nfa nfa in
-            match Eval.run ~deadline (Eval.Frozen (g, csr)) q with
+            match Eval.run ~deadline (Eval.Frozen (g, Lazy.force csr)) q with
             | Ok (sel, _) -> not (List.exists (fun n -> sel.(n)) negatives)
             | Error { Eval.reason; _ } -> raise (Interrupted_exn reason)
           in

@@ -50,8 +50,8 @@ type plan = {
 
 (* The plan is pure index arithmetic: it needs the node count, the label
    id space and a symbol resolver — not the adjacency itself. That keeps
-   one build path for every backing (heap CSR, mapped file, mapped file
-   plus overlay). *)
+   one build path for every backing (heap-frozen CSR, mapped file,
+   mapped file plus overlay). *)
 let build_plan ~n ~n_labels ~label_of_name nfa =
   let m = Nfa.n_states nfa in
   let inv = n_labels * m in
@@ -99,12 +99,11 @@ type stats = {
   interrupted : Deadline.reason option;  (* [Some _] iff the BFS stopped early *)
 }
 
-(* The kernel is abstract over how edges are iterated. Each backing
-   instantiates the functor once, so the expansion loop below
-   specializes per backing at compile time — per edge the mapped file
-   costs exactly what the heap CSR costs: an offset probe, a cell read
-   and the closure call that already existed. Out-edges are only walked
-   when the plan has an inverse transition. *)
+(* The kernel is abstract over how edges are iterated. It is
+   instantiated twice below: flat over a Csr snapshot, which heap-frozen
+   and mapped graphs share — per edge an offset probe, a packed-cell read
+   and a closure call — and over a mapped view with its overlay. Out-edges
+   are only walked when the plan has an inverse transition. *)
 module type ADJACENCY = sig
   type g
 
@@ -206,41 +205,14 @@ module Make_kernel (A : ADJACENCY) = struct
     (mem, dist, stats)
 end
 
-module Heap_kernel = Make_kernel (struct
+module Flat_kernel = Make_kernel (struct
   type g = Csr.t
 
   let iter_in = Csr.iter_in
   let iter_out = Csr.iter_out
 end)
 
-(* The mapped fast path reads the base file's offset/cell arrays
-   directly — same flat-array shape as the heap CSR, with the label and
-   endpoint unpacked from one cell. *)
-module Base_adj = struct
-  type g = {
-    in_off : Disk_csr.int_arr;
-    in_cells : Disk_csr.int_arr;
-    out_off : Disk_csr.int_arr;
-    out_cells : Disk_csr.int_arr;
-  }
-
-  let bits = Disk_csr.node_bits
-  let mask = Disk_csr.node_mask
-
-  let scan off cells v f =
-    let lo = off.{v} and hi = off.{v + 1} in
-    for i = lo to hi - 1 do
-      let c = Bigarray.Array1.unsafe_get cells i in
-      f (c lsr bits) (c land mask)
-    done
-
-  let iter_in g v f = scan g.in_off g.in_cells v f
-  let iter_out g v f = scan g.out_off g.out_cells v f
-end
-
-module Base_kernel = Make_kernel (Base_adj)
-
-(* Mapped base plus a non-empty overlay: the base loop as above, then
+(* Mapped base plus a non-empty overlay: the base's Csr range, then
    the overlay's per-node adjacency. *)
 module View_kernel = Make_kernel (struct
   type g = Disk_csr.view
@@ -276,17 +248,10 @@ let plan_of_source source nfa =
         ~label_of_name:(Disk_csr.label_of_name view) nfa
 
 let run_on_source ~want_dist ~deadline ~targets plan = function
-  | Frozen (_, csr) -> Heap_kernel.run ~want_dist ~deadline ~targets plan csr
-  | Mapped view ->
-      if Disk_csr.overlay_is_empty view then
-        Base_kernel.run ~want_dist ~deadline ~targets plan
-          {
-            Base_adj.in_off = Disk_csr.base_in_off view;
-            in_cells = Disk_csr.base_in_cells view;
-            out_off = Disk_csr.base_out_off view;
-            out_cells = Disk_csr.base_out_cells view;
-          }
-      else View_kernel.run ~want_dist ~deadline ~targets plan view
+  | Frozen (_, csr) -> Flat_kernel.run ~want_dist ~deadline ~targets plan csr
+  | Mapped view when Disk_csr.overlay_is_empty view ->
+      Flat_kernel.run ~want_dist ~deadline ~targets plan (Disk_csr.base view)
+  | Mapped view -> View_kernel.run ~want_dist ~deadline ~targets plan view
 
 (* Run the kernel and publish counters/span attributes — the shared tail
    of every public entry point. *)

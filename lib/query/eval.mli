@@ -17,12 +17,13 @@
 
     {!run} is the general entry point; {!select} is the same evaluation
     on a fresh snapshot, and the helpers below build on it. Every one
-    routes through one shared, cache-tight, sequential kernel: an adjacency snapshot (a frozen
-    {!Gps_graph.Csr} or a mapped {!Gps_graph.Disk_csr} view), a flat
-    CSR-style reverse transition index keyed by [(label, state)] (no
-    per-edge transition-list filtering), a {!Gps_graph.Bitset}
-    membership table (one bit per product state), and int-encoded
-    product states in a flat array queue. The BFS is level-synchronous,
+    routes through one shared, cache-tight, sequential kernel: an
+    adjacency snapshot (a {!Gps_graph.Csr}, heap-frozen or the base of a
+    mapped file, or a mapped {!Gps_graph.Disk_csr} view with its
+    overlay), a flat CSR-style reverse transition index keyed by
+    [(label, state)] (no per-edge transition-list filtering), a
+    {!Gps_graph.Bitset} membership table (one bit per product state),
+    and int-encoded product states in a flat array queue. The BFS is level-synchronous,
     so every report narrates its frontier level by level. Out-edges are
     walked only when the query has an inverse symbol. *)
 
@@ -90,12 +91,13 @@ type interrupted = { reason : Gps_obs.Deadline.reason; partial : report }
 
 (** {2 Evaluation sources}
 
-    The kernel is compiled once per adjacency backing (a functor over a
-    minimal in/out-edge iteration interface), so evaluating against an
-    mmap-backed {!Gps_graph.Disk_csr} view costs the same per edge as
-    the heap CSR: an offset probe and a packed-cell read. A view whose
-    delta overlay is empty takes the pure flat-array path; with an
-    overlay, each node's base range is walked first and the overlay
+    The kernel is a functor over a minimal in/out-edge iteration
+    interface, compiled twice. The flat instance runs over a
+    {!Gps_graph.Csr}: a [Frozen] snapshot, or the mapped base of a
+    [Mapped] view whose delta overlay is empty — one layout, so a mapped
+    file costs the same per edge as a heap graph: an offset probe and a
+    packed-cell read. The overlay instance serves the other [Mapped]
+    views: each node's base range is walked first and the overlay
     adjacency appended. *)
 
 type source =

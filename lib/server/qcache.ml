@@ -28,6 +28,7 @@ type slot = {
 
 type t = {
   tbl : (key, slot) Hashtbl.t;
+  gens : (string, int) Hashtbl.t;  (* graph -> delta generation; absent = 0 *)
   capacity : int;
   lock : Mutex.t;
   mutable tick : int;
@@ -41,6 +42,7 @@ type t = {
 let create ?(capacity = 256) () =
   {
     tbl = Hashtbl.create (max 16 capacity);
+    gens = Hashtbl.create 16;
     capacity = max 0 capacity;
     lock = Mutex.create ();
     tick = 0;
@@ -85,13 +87,25 @@ let evict_lru t =
       Gps_obs.Counter.incr c_evictions
   | None -> ()
 
-let add t ?labels ?(nullable = true) key value =
-  if t.capacity > 0 then
-    with_lock t (fun () ->
-        if Hashtbl.mem t.tbl key then Hashtbl.remove t.tbl key
-        else if Hashtbl.length t.tbl >= t.capacity then evict_lru t;
-        t.tick <- t.tick + 1;
-        Hashtbl.replace t.tbl key { value; labels; nullable; stamp = t.tick })
+(* Must hold t.lock. *)
+let insert t ?labels ?(nullable = true) key value =
+  if t.capacity > 0 then begin
+    if Hashtbl.mem t.tbl key then Hashtbl.remove t.tbl key
+    else if Hashtbl.length t.tbl >= t.capacity then evict_lru t;
+    t.tick <- t.tick + 1;
+    Hashtbl.replace t.tbl key { value; labels; nullable; stamp = t.tick }
+  end
+
+let add t ?labels ?nullable key value = with_lock t (fun () -> insert t ?labels ?nullable key value)
+
+let gen_of t graph = Option.value ~default:0 (Hashtbl.find_opt t.gens graph)
+let generation t ~graph = with_lock t (fun () -> gen_of t graph)
+
+let add_at t ~generation ?labels ?nullable key value =
+  with_lock t (fun () ->
+      let current = gen_of t key.graph = generation in
+      if current then insert t ?labels ?nullable key value;
+      current)
 
 let invalidate t ~graph =
   with_lock t (fun () ->
@@ -114,6 +128,7 @@ let rec intersects xs ys =
 
 let invalidate_delta t ~graph ~labels ~new_nodes =
   with_lock t (fun () ->
+      Hashtbl.replace t.gens graph (gen_of t graph + 1);
       let touched slot =
         match slot.labels with
         | None -> true (* unknown alphabet: conservatively touched *)

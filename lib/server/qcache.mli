@@ -25,6 +25,13 @@
     negation: adding edges of labels a query never mentions cannot
     create or destroy any path the query can read.
 
+    A result computed on an overlay snapshot must not be inserted after
+    a delta that postdates the snapshot has already run its
+    invalidation: nothing would ever drop it. Each graph therefore has
+    a delta {!generation}, bumped by every {!invalidate_delta}; an
+    evaluation reads it before taking its snapshot and inserts through
+    {!add_at}, which refuses once the generation has moved.
+
     Thread-safe (one internal mutex). Lookups and insertions are O(1)
     amortized except eviction, which scans for the least recently used
     entry — capacities are small (hundreds), and the scan keeps the
@@ -59,6 +66,17 @@ val add : t -> ?labels:string list -> ?nullable:bool -> key -> string list -> un
     sorted base alphabet and [nullable] whether it matches ε — the
     facts {!invalidate_delta} filters on. Omitted (the conservative
     default), the entry is treated as touched by {e every} delta. *)
+
+val generation : t -> graph:string -> int
+(** The graph's delta generation: how many {!invalidate_delta} calls
+    have run on it. Read it before snapshotting the graph. *)
+
+val add_at :
+  t -> generation:int -> ?labels:string list -> ?nullable:bool -> key -> string list -> bool
+(** {!add} for a value computed on a snapshot taken after {!generation}
+    returned [generation]. Refuses, storing nothing and returning
+    [false], when an {!invalidate_delta} on [key.graph] has run since:
+    the value may predate that delta. *)
 
 val invalidate : t -> graph:string -> int
 (** Drop every entry of the named graph (any version); returns how many

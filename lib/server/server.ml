@@ -295,8 +295,10 @@ let evaluate_cached t (entry : Catalog.entry) ?ev ?(explain = false) ?(deadline 
       in
       (* one snapshot for the whole evaluation: heap entries hand over
          their frozen CSR, file-backed entries an overlay-inclusive view
-         of the mapped base — the kernel is instantiated per backing, so
-         neither pays per-edge dispatch *)
+         of the mapped base. The delta generation is read first, so an
+         add_edges batch that lands after the snapshot makes the insert
+         below refuse instead of caching a stale answer. *)
+      let generation = Qcache.generation t.cache ~graph:entry.name in
       let source = Catalog.eval_source entry in
       let sel, report =
         match Gps_query.Eval.run ~deadline source q with
@@ -344,10 +346,13 @@ let evaluate_cached t (entry : Catalog.entry) ?ev ?(explain = false) ?(deadline 
          (* the entry remembers its query's base alphabet and
             nullability, so overlay ingest can invalidate label-aware
             instead of dropping the graph's whole working set *)
-         Qcache.add t.cache
-           ~labels:(Gps_query.Rewrite.base_alphabet nq)
-           ~nullable:(Gps_regex.Regex.nullable (Gps_query.Rpq.regex nq))
-           key nodes
+         let stored =
+           Qcache.add_at t.cache ~generation
+             ~labels:(Gps_query.Rewrite.base_alphabet nq)
+             ~nullable:(Gps_regex.Regex.nullable (Gps_query.Rpq.regex nq))
+             key nodes
+         in
+         if not stored then Counter.incr c_cache_drops
        with Fault.Injected _ ->
          (* degrade gracefully: the answer is correct, it just is not
             cached *)

@@ -144,6 +144,76 @@ let qcheck_roundtrip =
                  heap_adj g `Out u = disk_adj v `Out u && heap_adj g `In u = disk_adj v `In u)
                (Digraph.nodes g)))
 
+(* One layout: a mapped file's base is the very Csr that freezing the
+   packed graph builds — same sizes, same cells in the same order. *)
+let gen_layout_graph =
+  QCheck.Gen.(
+    let* n = int_bound 12 in
+    let* n_labels = int_range 1 70 in
+    let* edges =
+      if n = 0 then return []
+      else
+        let node = int_bound (n - 1) in
+        list_size (int_bound 30) (triple node (int_bound (n_labels - 1)) node)
+    in
+    return (n, n_labels, edges))
+
+let qcheck_one_layout =
+  QCheck.Test.make ~name:"csr: freeze g = base of open_map (pack_digraph g)" ~count:200
+    (QCheck.make
+       ~print:(fun (n, nl, es) ->
+         Printf.sprintf "%d nodes, %d labels, %d edge adds" n nl (List.length es))
+       gen_layout_graph)
+    (fun (n, n_labels, edges) ->
+      let g = Digraph.create () in
+      for i = 0 to n - 1 do
+        ignore (Digraph.add_node g (Printf.sprintf "v%d" i))
+      done;
+      for l = 0 to n_labels - 1 do
+        ignore (Digraph.intern_label g (Printf.sprintf "l%d" l))
+      done;
+      List.iter
+        (fun (s, l, d) -> Digraph.add_edge g ~src:s ~label:(Printf.sprintf "l%d" l) ~dst:d)
+        edges;
+      let path = temp_csr () in
+      Fun.protect
+        ~finally:(fun () -> cleanup path)
+        (fun () ->
+          Disk.pack_digraph g ~path;
+          let frozen = Gps_graph.Csr.freeze g in
+          let mapped = Disk.base (Disk.snapshot (open_ok path)) in
+          let seq iter csr v =
+            let acc = ref [] in
+            iter csr v (fun l w -> acc := (l, w) :: !acc);
+            List.rev !acc
+          in
+          let raises iter csr v =
+            match iter csr v (fun _ _ -> ()) with
+            | () -> false
+            | exception Invalid_argument _ -> true
+          in
+          let open Gps_graph.Csr in
+          n_nodes frozen = n_nodes mapped
+          && n_edges frozen = n_edges mapped
+          && n_labels frozen = n_labels mapped
+          && List.for_all
+               (fun v ->
+                 seq iter_out frozen v = seq iter_out mapped v
+                 && seq iter_in frozen v = seq iter_in mapped v)
+               (List.init n Fun.id)
+          && List.for_all
+               (fun csr ->
+                 List.for_all (fun v -> raises iter_in csr v && raises iter_out csr v) [ -1; n ])
+               [ frozen; mapped ]))
+
+(* The packed bytes of the paper's Figure 1 graph, pinned: the file
+   format (version 1) is fixed byte for byte. *)
+let test_figure1_bytes () =
+  with_packed (Gps_graph.Datasets.figure1 ()) (fun path _ ->
+      let bytes = In_channel.with_open_bin path In_channel.input_all in
+      check Alcotest.int "size" 600 (String.length bytes);
+      check Alcotest.int "crc32" 2954290680 (Gps_graph.Crc32.string bytes))
+
 (* ------------------------------------------------------------------ *)
 (* typed open errors *)
 
@@ -239,7 +309,7 @@ let select_mapped v q = fst (Result.get_ok (Eval.run (Eval.Mapped v) q))
 let test_eval_equivalence () =
   let g = city ~districts:10 ~seed:11 () in
   with_packed g (fun _path d ->
-      (* base: empty overlay takes the flat Base_kernel path *)
+      (* base: empty overlay takes the flat Csr kernel path *)
       List.iter
         (fun qs ->
           let q = parse qs in
@@ -350,6 +420,22 @@ let test_qcache_delta () =
   let s = Qcache.stats c in
   check Alcotest.int "delta_invalidations total" 3 s.Qcache.delta_invalidations;
   check Alcotest.int "plain invalidations untouched" 0 s.Qcache.invalidations
+
+(* An answer computed on a snapshot taken before a delta must not be
+   cached once that delta's invalidation has run: nothing would drop it. *)
+let test_qcache_generation () =
+  let c = Qcache.create () in
+  let k = { Qcache.graph = "g"; version = 1; query = "tram" } in
+  let before = Qcache.generation c ~graph:"g" in
+  ignore (Qcache.invalidate_delta c ~graph:"g" ~labels:[ "tram" ] ~new_nodes:0);
+  check Alcotest.bool "stale insert refused" false
+    (Qcache.add_at c ~generation:before ~labels:[ "tram" ] ~nullable:false k [ "stale" ]);
+  check Alcotest.(option (list string)) "nothing cached" None (Qcache.find c k);
+  let now = Qcache.generation c ~graph:"g" in
+  check Alcotest.bool "fresh insert kept" true
+    (Qcache.add_at c ~generation:now ~labels:[ "tram" ] ~nullable:false k [ "fresh" ]);
+  check Alcotest.(option (list string)) "fresh cached" (Some [ "fresh" ]) (Qcache.find c k);
+  check Alcotest.int "other graphs keep generation 0" 0 (Qcache.generation c ~graph:"other")
 
 (* ------------------------------------------------------------------ *)
 (* catalog: file backing *)
@@ -571,6 +657,8 @@ let suite =
         Alcotest.test_case "streamed pack is deterministic" `Quick
           test_pack_uniform_deterministic;
         QCheck_alcotest.to_alcotest qcheck_roundtrip;
+        QCheck_alcotest.to_alcotest qcheck_one_layout;
+        Alcotest.test_case "figure1 packed bytes pinned" `Quick test_figure1_bytes;
       ] );
     ( "ooc.eval",
       [
@@ -581,6 +669,8 @@ let suite =
     ( "ooc.server",
       [
         Alcotest.test_case "qcache label-aware delta invalidation" `Quick test_qcache_delta;
+        Alcotest.test_case "qcache refuses inserts older than a delta" `Quick
+          test_qcache_generation;
         Alcotest.test_case "catalog file backing" `Quick test_catalog_file_backing;
         Alcotest.test_case "load_file / add_edges end to end" `Quick test_server_ooc;
         Alcotest.test_case "two-way queries over the overlay" `Quick test_server_twoway;
