@@ -26,6 +26,13 @@ let of_arrays ~n_labels ~out_off ~in_off ~out_cells ~in_cells =
     invalid_arg "Csr.of_arrays: sizes exceed the packed-cell split";
   { n; m; n_labels; out_off; in_off; out_cells; in_cells }
 
+(* A 63-bit mix of one edge. Summed over a pass it fingerprints the
+   pass's edge multiset, whatever its order. *)
+let edge_hash ~src ~label ~dst =
+  let h = (((src * 0x100000001b3) lxor label) * 0x100000001b3) lxor dst in
+  let h = (h lxor (h lsr 29)) * 0x3c79ac492ba7b653 in
+  h lxor (h lsr 32)
+
 let fill ~n_labels ~out_off ~in_off ~out_cells ~in_cells iter_edges =
   let t = of_arrays ~n_labels ~out_off ~in_off ~out_cells ~in_cells in
   let { n; m; out_off; in_off; out_cells; in_cells; _ } = t in
@@ -38,10 +45,11 @@ let fill ~n_labels ~out_off ~in_off ~out_cells ~in_cells iter_edges =
   Bigarray.Array1.fill out_off 0;
   Bigarray.Array1.fill in_off 0;
   (* Pass 1: degree counts, then a prefix sum into offsets. *)
-  let seen = ref 0 in
+  let seen = ref 0 and hash1 = ref 0 in
   iter_edges (fun ~src ~label ~dst ->
       check ~src ~label ~dst;
       incr seen;
+      hash1 := !hash1 + edge_hash ~src ~label ~dst;
       if !seen > m then invalid_arg "Csr.fill: stream longer than n_edges";
       out_off.{src + 1} <- out_off.{src + 1} + 1;
       in_off.{dst + 1} <- in_off.{dst + 1} + 1);
@@ -53,10 +61,11 @@ let fill ~n_labels ~out_off ~in_off ~out_cells ~in_cells iter_edges =
   (* Pass 2: fill, using the offset cells themselves as cursors —
      off.{v} walks from start(v) to end(v) — then shift them back
      down one slot to restore the offsets. No scratch arrays. *)
-  let seen = ref 0 in
+  let seen = ref 0 and hash2 = ref 0 in
   iter_edges (fun ~src ~label ~dst ->
       check ~src ~label ~dst;
       incr seen;
+      hash2 := !hash2 + edge_hash ~src ~label ~dst;
       if !seen > m then invalid_arg "Csr.fill: pass 2 stream longer than pass 1";
       let o = out_off.{src} in
       out_off.{src} <- o + 1;
@@ -67,6 +76,7 @@ let fill ~n_labels ~out_off ~in_off ~out_cells ~in_cells iter_edges =
       if i >= m then invalid_arg "Csr.fill: pass 2 stream disagrees with pass 1";
       in_cells.{i} <- (label lsl node_bits) lor src);
   if !seen <> m then invalid_arg "Csr.fill: pass 2 stream shorter than pass 1";
+  if !hash2 <> !hash1 then invalid_arg "Csr.fill: pass 2 stream disagrees with pass 1";
   for v = n downto 1 do
     out_off.{v} <- out_off.{v - 1};
     in_off.{v} <- in_off.{v - 1}

@@ -35,9 +35,10 @@ val fill :
     the offsets as cursors) and must replay the identical [m] edges both
     times; edges keep their stream order within each node.
     @raise Invalid_argument on out-of-range ids, a pass that is not [m]
-    edges long, a second pass that overruns the cells, or sizes past
-    the cell split's {!max_nodes}/{!max_labels}. A second pass of the
-    right length that only moves edges between nodes is not detected. *)
+    edges long, a second pass whose edges differ from the first's (an
+    order-independent hash of each pass's [(src, label, dst)] triples
+    must agree), or sizes past the cell split's
+    {!max_nodes}/{!max_labels}. *)
 
 val of_arrays :
   n_labels:int -> out_off:int_arr -> in_off:int_arr -> out_cells:int_arr -> in_cells:int_arr -> t

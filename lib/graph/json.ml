@@ -5,6 +5,7 @@ type value =
   | String of string
   | Array of value list
   | Object of (string * value) list
+  | Raw of string
 
 exception Parse_error of int * string
 
@@ -174,76 +175,162 @@ let value_of_string text =
   v
 
 (* ------------------------------------------------------------------ *)
-(* printing *)
+(* printing: size the output exactly, then write it into bytes of that
+   size, copying each run of bytes that needs no escape in one blit *)
 
-let escape_string s =
-  let buf = Buffer.create (String.length s + 2) in
-  String.iter
-    (fun ch ->
-      match ch with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\r' -> Buffer.add_string buf "\\r"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | c when Char.code c < 0x20 -> Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
+(* '"', '\\' and the control bytes below 0x20 take an escape *)
+let escaped_length s =
+  let n = ref (String.length s) in
+  for i = 0 to String.length s - 1 do
+    match String.unsafe_get s i with
+    | '"' | '\\' | '\n' | '\r' | '\t' -> incr n
+    | c when c < ' ' -> n := !n + 5
+    | _ -> ()
+  done;
+  !n
+
+type out = { bytes : Bytes.t; mutable pos : int }
+
+let put_char o c =
+  Bytes.set o.bytes o.pos c;
+  o.pos <- o.pos + 1
+
+let put_sub o s off len =
+  Bytes.blit_string s off o.bytes o.pos len;
+  o.pos <- o.pos + len
+
+let put_string o s = put_sub o s 0 (String.length s)
+
+let hex = "0123456789abcdef"
+
+let put_escaped o s =
+  let run = ref 0 in
+  for i = 0 to String.length s - 1 do
+    let c = String.unsafe_get s i in
+    if c = '"' || c = '\\' || c < ' ' then begin
+      put_sub o s !run (i - !run);
+      run := i + 1;
+      put_char o '\\';
+      match c with
+      | '"' | '\\' -> put_char o c
+      | '\n' -> put_char o 'n'
+      | '\r' -> put_char o 'r'
+      | '\t' -> put_char o 't'
+      | _ ->
+          put_string o "u00";
+          put_char o hex.[Char.code c lsr 4];
+          put_char o hex.[Char.code c land 15]
+    end
+  done;
+  put_sub o s !run (String.length s - !run)
+
+let put_quoted o s =
+  put_char o '"';
+  put_escaped o s;
+  put_char o '"'
+
+let number_to_string f =
+  if Float.is_integer f && Float.abs f < 1e15 then Printf.sprintf "%.0f" f
+  else
+    (* shortest decimal that round-trips: %.15g covers almost every
+       value (and prints 2.17 as "2.17"); the rare remainder needs all
+       17 digits *)
+    let s = Printf.sprintf "%.15g" f in
+    if float_of_string s = f then s else Printf.sprintf "%.17g" f
+
+(* Fill bytes of the length [size] computed, and check it was exact. *)
+let exactly size write =
+  let o = { bytes = Bytes.create size; pos = 0 } in
+  write o;
+  if o.pos <> size then invalid_arg "Json: output size mismatch";
+  Bytes.unsafe_to_string o.bytes
 
 let value_to_string ?(pretty = false) v =
-  let buf = Buffer.create 256 in
-  let nl indent = if pretty then Buffer.add_string buf ("\n" ^ String.make indent ' ') in
-  let rec go indent = function
-    | Null -> Buffer.add_string buf "null"
-    | Bool b -> Buffer.add_string buf (string_of_bool b)
-    | Number f ->
-        if Float.is_integer f && Float.abs f < 1e15 then
-          Buffer.add_string buf (Printf.sprintf "%.0f" f)
-        else
-          (* shortest decimal that round-trips: %.15g covers almost
-             every value (and prints 2.17 as "2.17"); the rare
-             remainder needs all 17 digits *)
-          let s = Printf.sprintf "%.15g" f in
-          Buffer.add_string buf
-            (if float_of_string s = f then s else Printf.sprintf "%.17g" f)
-    | String s ->
-        Buffer.add_char buf '"';
-        Buffer.add_string buf (escape_string s);
-        Buffer.add_char buf '"'
-    | Array [] -> Buffer.add_string buf "[]"
+  let nl_length indent = if pretty then 1 + indent else 0 in
+  let nl o indent =
+    if pretty then begin
+      put_char o '\n';
+      Bytes.fill o.bytes o.pos indent ' ';
+      o.pos <- o.pos + indent
+    end
+  in
+  (* both walks list their items in the same order; [exactly] checks
+     that they agree on the length *)
+  let rec size indent = function
+    | Null -> 4
+    | Bool b -> if b then 4 else 5
+    | Number f -> String.length (number_to_string f)
+    | String s -> escaped_length s + 2
+    | Raw s -> String.length s
+    | Array [] | Object [] -> 2
     | Array items ->
-        Buffer.add_char buf '[';
+        List.fold_left
+          (fun acc item -> acc + 1 + nl_length (indent + 2) + size (indent + 2) item)
+          (1 + nl_length indent) items
+    | Object fields ->
+        List.fold_left
+          (fun acc (k, item) ->
+            acc + 1 + nl_length (indent + 2) + escaped_length k + 3
+            + (if pretty then 1 else 0)
+            + size (indent + 2) item)
+          (1 + nl_length indent) fields
+  in
+  let rec write o indent = function
+    | Null -> put_string o "null"
+    | Bool b -> put_string o (if b then "true" else "false")
+    | Number f -> put_string o (number_to_string f)
+    | String s -> put_quoted o s
+    | Raw s -> put_string o s
+    | Array [] -> put_string o "[]"
+    | Array items ->
+        put_char o '[';
         List.iteri
           (fun i item ->
-            if i > 0 then Buffer.add_char buf ',';
-            nl (indent + 2);
-            go (indent + 2) item)
+            if i > 0 then put_char o ',';
+            nl o (indent + 2);
+            write o (indent + 2) item)
           items;
-        nl indent;
-        Buffer.add_char buf ']'
-    | Object [] -> Buffer.add_string buf "{}"
+        nl o indent;
+        put_char o ']'
+    | Object [] -> put_string o "{}"
     | Object fields ->
-        Buffer.add_char buf '{';
+        put_char o '{';
         List.iteri
           (fun i (k, item) ->
-            if i > 0 then Buffer.add_char buf ',';
-            nl (indent + 2);
-            Buffer.add_char buf '"';
-            Buffer.add_string buf (escape_string k);
-            Buffer.add_string buf "\":";
-            if pretty then Buffer.add_char buf ' ';
-            go (indent + 2) item)
+            if i > 0 then put_char o ',';
+            nl o (indent + 2);
+            put_quoted o k;
+            put_char o ':';
+            if pretty then put_char o ' ';
+            write o (indent + 2) item)
           fields;
-        nl indent;
-        Buffer.add_char buf '}'
+        nl o indent;
+        put_char o '}'
   in
-  go 0 v;
-  Buffer.contents buf
+  exactly (size 0 v) (fun o -> write o 0 v)
+
+let string_array iter =
+  let count = ref 0 and size = ref 1 in
+  iter (fun s ->
+      incr count;
+      size := !size + escaped_length s + 3);
+  let bytes =
+    exactly
+      (if !count = 0 then 2 else !size)
+      (fun o ->
+        put_char o '[';
+        let first = ref true in
+        iter (fun s ->
+            if not !first then put_char o ',';
+            first := false;
+            put_quoted o s);
+        put_char o ']')
+  in
+  (!count, bytes)
 
 let member key = function
   | Object fields -> List.assoc_opt key fields
-  | Null | Bool _ | Number _ | String _ | Array _ -> None
+  | Null | Bool _ | Number _ | String _ | Array _ | Raw _ -> None
 
 (* ------------------------------------------------------------------ *)
 (* graph <-> JSON *)
@@ -277,7 +364,7 @@ let of_string text =
       List.iter
         (function
           | String name -> ignore (Digraph.add_node g name)
-          | Null | Bool _ | Number _ | Array _ | Object _ -> shape_error "node must be a string")
+          | Null | Bool _ | Number _ | Array _ | Object _ | Raw _ -> shape_error "node must be a string")
         names
   | Some _ -> shape_error "\"nodes\" must be an array"
   | None -> ());

@@ -6,7 +6,8 @@
 
     - {e heap} entries ([put]): an immutable {!Gps_graph.Digraph.t}
       snapshot plus its {!Gps_graph.Csr} freeze for the evaluation hot
-      path — the original in-core story;
+      path and its node ids in name order, so an answer lists its
+      names without sorting them;
     - {e file} entries ([put_file]): an mmap-backed
       {!Gps_graph.Disk_csr} packed graph plus its mutable delta overlay.
       No [Digraph] is retained — a million-node file costs one [mmap],
@@ -26,7 +27,11 @@
     their own locks). *)
 
 type backing =
-  | Heap of { graph : Gps_graph.Digraph.t; csr : Gps_graph.Csr.t }
+  | Heap of {
+      graph : Gps_graph.Digraph.t;
+      csr : Gps_graph.Csr.t;
+      order : int array;  (** every node id, sorted by name under [String.compare] *)
+    }
   | File of {
       disk : Gps_graph.Disk_csr.t;
       file : string;  (** the packed file's path *)
@@ -48,7 +53,7 @@ val create : unit -> t
 
 val put : t -> name:string -> Gps_graph.Digraph.t -> entry
 (** Install (or replace) the graph under [name]. Freezes the CSR
-    snapshot eagerly. *)
+    snapshot and sorts the name order eagerly. *)
 
 val put_file : t -> name:string -> string -> (entry, Gps_graph.Disk_csr.open_error) result
 (** Map the packed file at the path and install it under [name]; the
@@ -69,6 +74,15 @@ val count : t -> int
 val eval_source : entry -> Gps_query.Eval.source
 (** What the evaluation kernel should run against: the frozen heap CSR,
     or a fresh overlay-inclusive snapshot of the mapped file. *)
+
+val iter_selected :
+  entry -> Gps_query.Eval.source -> bool array -> (string -> unit) -> unit
+(** [iter_selected e source sel] iterates the names of the nodes [sel]
+    marks in [String.compare] order, where [source] is the {!eval_source}
+    snapshot [sel] was computed on. A heap entry walks its name order; a
+    file entry sorts the selected names once, when given [sel], so the
+    resulting iterator can run twice (as {!Protocol.Names.of_iter}
+    does) for one sort. *)
 
 val n_nodes : entry -> int
 val n_edges : entry -> int

@@ -1,5 +1,23 @@
 module Json = Gps_graph.Json
 
+module Names = struct
+  type t = { json : string; count : int }
+
+  let of_iter iter =
+    let count, json = Json.string_array iter in
+    { json; count }
+
+  let of_list l = of_iter (fun f -> List.iter f l)
+  let count t = t.count
+  let to_json t = Json.Raw t.json
+
+  let to_list t =
+    let fail () = invalid_arg "Protocol.Names.to_list" in
+    match Json.value_of_string t.json with
+    | Json.Array items -> List.map (function Json.String s -> s | _ -> fail ()) items
+    | _ -> fail ()
+end
+
 type load_source = Builtin of string | Path of string | Text of string
 
 type request =
@@ -27,8 +45,8 @@ type error = { code : string; message : string; data : Json.value option }
 type session_view =
   | Ask_label of { node : string; radius : int; size : int; frontier : string list }
   | Ask_path of { node : string; words : string list list; suggested : string list }
-  | Proposal of { query : string; selects : string list }
-  | Finished of { query : string; reason : string; selects : string list }
+  | Proposal of { query : string; selects : Names.t }
+  | Finished of { query : string; reason : string; selects : Names.t }
 
 type response =
   | Loaded of { name : string; nodes : int; edges : int; labels : int; version : int }
@@ -44,11 +62,11 @@ type response =
   | Stats_of of { name : string; nodes : int; edges : int; labels : string list; version : int }
   | Answer of {
       query : string;
-      nodes : string list;
+      nodes : Names.t;
       cache : [ `Hit | `Miss ];
       explain : Json.value option;
     }
-  | Learned of { query : string; selects : string list }
+  | Learned of { query : string; selects : Names.t }
   | Session of { session : int; view : session_view }
   | Stopped of { session : int; questions : int }
   | Metrics_dump of Json.value
@@ -162,13 +180,13 @@ let encode_view = function
         ("suggested", word suggested);
       ]
   | Proposal { query; selects } ->
-      [ ("ask", str "propose"); ("query", str query); ("selects", strings selects) ]
+      [ ("ask", str "propose"); ("query", str query); ("selects", Names.to_json selects) ]
   | Finished { query; reason; selects } ->
       [
         ("ask", str "finished");
         ("query", str query);
         ("reason", str reason);
-        ("selects", strings selects);
+        ("selects", Names.to_json selects);
       ]
 
 let encode_response ?id r =
@@ -217,12 +235,12 @@ let encode_response ?id r =
         ok_fields "answer"
           ([
              ("query", str query);
-             ("nodes", strings nodes);
+             ("nodes", Names.to_json nodes);
              ("cache", str (match cache with `Hit -> "hit" | `Miss -> "miss"));
            ]
           @ match explain with None -> [] | Some e -> [ ("explain", e) ])
     | Learned { query; selects } ->
-        ok_fields "learned" [ ("query", str query); ("selects", strings selects) ]
+        ok_fields "learned" [ ("query", str query); ("selects", Names.to_json selects) ]
     | Session { session; view } ->
         ok_fields "session" (("session", int session) :: encode_view view)
     | Stopped { session; questions } ->
@@ -289,6 +307,20 @@ let int_field obj name =
 let list_field obj name =
   let* v = field obj name in
   as_string_list name v
+
+(* A node list arrives as a parsed array off the wire, or as the splice
+   leaf when an encoded response is decoded without printing it. *)
+let names_field obj name =
+  let* v = field obj name in
+  let* v =
+    match v with
+    | Json.Raw text -> (
+        try Ok (Json.value_of_string text)
+        with Json.Parse_error _ -> bad "field %S must be an array of strings" name)
+    | v -> Ok v
+  in
+  let* l = as_string_list name v in
+  Ok (Names.of_list l)
 
 let opt_int_field obj name =
   match opt_field obj name with
@@ -481,12 +513,12 @@ let decode_view v =
       Ok (Ask_path { node; words; suggested })
   | "propose" ->
       let* query = str_field v "query" in
-      let* selects = list_field v "selects" in
+      let* selects = names_field v "selects" in
       Ok (Proposal { query; selects })
   | "finished" ->
       let* query = str_field v "query" in
       let* reason = str_field v "reason" in
-      let* selects = list_field v "selects" in
+      let* selects = names_field v "selects" in
       Ok (Finished { query; reason; selects })
   | other -> bad "unknown view %S" other
 
@@ -546,7 +578,7 @@ let decode_response v =
             Ok (Stats_of { name; nodes; edges; labels; version })
         | "answer" ->
             let* query = str_field v "query" in
-            let* nodes = list_field v "nodes" in
+            let* nodes = names_field v "nodes" in
             let* cache =
               let* c = str_field v "cache" in
               match c with
@@ -558,7 +590,7 @@ let decode_response v =
             Ok (Answer { query; nodes; cache; explain })
         | "learned" ->
             let* query = str_field v "query" in
-            let* selects = list_field v "selects" in
+            let* selects = names_field v "selects" in
             Ok (Learned { query; selects })
         | "session" ->
             let* session = session_field v in

@@ -16,7 +16,31 @@
     or an ["error"] object with ["code"] and ["message"]. An optional
     ["id"] request field is echoed verbatim by the server (see
     {!Server.handle_value}); it is transport envelope, not part of the
-    typed protocol. *)
+    typed protocol.
+
+    A response's node list ({!Names.t}) is held encoded: the server
+    prints a selection's names into one JSON array when it computes
+    the answer, caches those bytes, and {!encode_response} splices
+    them into the tree as a {!Gps_graph.Json.Raw} leaf, so answering
+    from the cache prints no name again. {!decode_response} accepts
+    the leaf as well as a parsed array. *)
+
+(** A node-name list held as its encoded JSON array and its length. *)
+module Names : sig
+  type t
+
+  val of_iter : ((string -> unit) -> unit) -> t
+  (** The names [iter] yields, in that order, encoded once at their
+      final size. [iter] runs twice and must yield the same names both
+      times (see {!Gps_graph.Json.string_array}). *)
+
+  val of_list : string list -> t
+
+  val to_list : t -> string list
+  (** Decodes the bytes again; the server never does. *)
+
+  val count : t -> int
+end
 
 type load_source =
   | Builtin of string  (** a built-in dataset: ["figure1"] or ["transpole"] *)
@@ -96,8 +120,8 @@ type session_view =
       frontier : string list;  (** the "…" nodes, sorted *)
     }
   | Ask_path of { node : string; words : string list list; suggested : string list }
-  | Proposal of { query : string; selects : string list }
-  | Finished of { query : string; reason : string; selects : string list }
+  | Proposal of { query : string; selects : Names.t }
+  | Finished of { query : string; reason : string; selects : Names.t }
 
 type response =
   | Loaded of { name : string; nodes : int; edges : int; labels : int; version : int }
@@ -113,7 +137,7 @@ type response =
   | Stats_of of { name : string; nodes : int; edges : int; labels : string list; version : int }
   | Answer of {
       query : string;
-      nodes : string list;
+      nodes : Names.t;  (** sorted by byte order ([String.compare]) *)
       cache : [ `Hit | `Miss ];
       explain : Gps_graph.Json.value option;
     }
@@ -122,7 +146,7 @@ type response =
           {!Gps_query.Eval.report_to_json} on a miss, the one-field
           object [{"cache":"hit"}] on a hit (a hit runs no evaluation,
           so there is nothing to narrate) *)
-  | Learned of { query : string; selects : string list }
+  | Learned of { query : string; selects : Names.t }
   | Session of { session : int; view : session_view }
   | Stopped of { session : int; questions : int }
   | Metrics_dump of Gps_graph.Json.value

@@ -19,16 +19,20 @@ type stats = {
   capacity : int;
 }
 
-type slot = {
-  value : string list;
+type 'v slot = {
+  value : 'v;
   labels : string list option;  (* sorted base alphabet; None = unknown *)
   nullable : bool;
   mutable stamp : int;
 }
 
-type t = {
-  tbl : (key, slot) Hashtbl.t;
-  gens : (string, int) Hashtbl.t;  (* graph -> delta generation; absent = 0 *)
+(* A graph's deltas: how many have run, and the last of them that
+   touched each label and that added nodes. *)
+type deltas = { mutable gen : int; mutable nodes_gen : int; label_gen : (string, int) Hashtbl.t }
+
+type 'v t = {
+  tbl : (key, 'v slot) Hashtbl.t;
+  deltas : (string, deltas) Hashtbl.t;  (* absent = no delta yet *)
   capacity : int;
   lock : Mutex.t;
   mutable tick : int;
@@ -42,7 +46,7 @@ type t = {
 let create ?(capacity = 256) () =
   {
     tbl = Hashtbl.create (max 16 capacity);
-    gens = Hashtbl.create 16;
+    deltas = Hashtbl.create 16;
     capacity = max 0 capacity;
     lock = Mutex.create ();
     tick = 0;
@@ -98,14 +102,32 @@ let insert t ?labels ?(nullable = true) key value =
 
 let add t ?labels ?nullable key value = with_lock t (fun () -> insert t ?labels ?nullable key value)
 
-let gen_of t graph = Option.value ~default:0 (Hashtbl.find_opt t.gens graph)
-let generation t ~graph = with_lock t (fun () -> gen_of t graph)
+let generation t ~graph =
+  with_lock t (fun () -> match Hashtbl.find_opt t.deltas graph with Some d -> d.gen | None -> 0)
 
-let add_at t ~generation ?labels ?nullable key value =
+(* Would a delta after [generation] have dropped this entry? The same
+   rule as [invalidate_delta]'s [touched], asked of the last delta that
+   touched each label. *)
+let touched_since d ~generation ~labels ~nullable =
+  d.gen > generation
+  &&
+  match labels with
+  | None -> true
+  | Some ls ->
+      (nullable && d.nodes_gen > generation)
+      || List.exists
+           (fun l -> match Hashtbl.find_opt d.label_gen l with Some g -> g > generation | None -> false)
+           ls
+
+let add_at t ~generation ?labels ?(nullable = true) key value =
   with_lock t (fun () ->
-      let current = gen_of t key.graph = generation in
-      if current then insert t ?labels ?nullable key value;
-      current)
+      let fresh =
+        match Hashtbl.find_opt t.deltas key.graph with
+        | Some d -> not (touched_since d ~generation ~labels ~nullable)
+        | None -> true
+      in
+      if fresh then insert t ?labels ~nullable key value;
+      fresh)
 
 let invalidate t ~graph =
   with_lock t (fun () ->
@@ -128,7 +150,17 @@ let rec intersects xs ys =
 
 let invalidate_delta t ~graph ~labels ~new_nodes =
   with_lock t (fun () ->
-      Hashtbl.replace t.gens graph (gen_of t graph + 1);
+      let d =
+        match Hashtbl.find_opt t.deltas graph with
+        | Some d -> d
+        | None ->
+            let d = { gen = 0; nodes_gen = 0; label_gen = Hashtbl.create 8 } in
+            Hashtbl.add t.deltas graph d;
+            d
+      in
+      d.gen <- d.gen + 1;
+      List.iter (fun l -> Hashtbl.replace d.label_gen l d.gen) labels;
+      if new_nodes > 0 then d.nodes_gen <- d.gen;
       let touched slot =
         match slot.labels with
         | None -> true (* unknown alphabet: conservatively touched *)

@@ -28,9 +28,16 @@
     A result computed on an overlay snapshot must not be inserted after
     a delta that postdates the snapshot has already run its
     invalidation: nothing would ever drop it. Each graph therefore has
-    a delta {!generation}, bumped by every {!invalidate_delta}; an
-    evaluation reads it before taking its snapshot and inserts through
-    {!add_at}, which refuses once the generation has moved.
+    a delta {!generation}, bumped by every {!invalidate_delta}, and
+    remembers the last generation that touched each label and the last
+    that added nodes. An evaluation reads the generation before taking
+    its snapshot and inserts through {!add_at}, which refuses exactly
+    the entries that a later delta would have dropped.
+
+    The cache is polymorphic in what it stores. The server stores each
+    answer as its encoded JSON node array
+    ({!Protocol.Names.t}), so a hit hands back bytes that go into the
+    response as they are.
 
     Thread-safe (one internal mutex). Lookups and insertions are O(1)
     amortized except eviction, which scans for the least recently used
@@ -52,40 +59,43 @@ type stats = {
   capacity : int;
 }
 
-type t
+type 'v t
 
-val create : ?capacity:int -> unit -> t
+val create : ?capacity:int -> unit -> 'v t
 (** Default capacity 256. *)
 
-val find : t -> key -> string list option
+val find : 'v t -> key -> 'v option
 (** Counts a hit or a miss, and refreshes the entry's recency. *)
 
-val add : t -> ?labels:string list -> ?nullable:bool -> key -> string list -> unit
+val add : 'v t -> ?labels:string list -> ?nullable:bool -> key -> 'v -> unit
 (** Insert, evicting the least recently used entry when full. Replaces
     any existing value under the same key. [labels] is the query's
     sorted base alphabet and [nullable] whether it matches ε — the
     facts {!invalidate_delta} filters on. Omitted (the conservative
     default), the entry is treated as touched by {e every} delta. *)
 
-val generation : t -> graph:string -> int
+val generation : 'v t -> graph:string -> int
 (** The graph's delta generation: how many {!invalidate_delta} calls
     have run on it. Read it before snapshotting the graph. *)
 
 val add_at :
-  t -> generation:int -> ?labels:string list -> ?nullable:bool -> key -> string list -> bool
+  'v t -> generation:int -> ?labels:string list -> ?nullable:bool -> key -> 'v -> bool
 (** {!add} for a value computed on a snapshot taken after {!generation}
     returned [generation]. Refuses, storing nothing and returning
-    [false], when an {!invalidate_delta} on [key.graph] has run since:
-    the value may predate that delta. *)
+    [false], when an {!invalidate_delta} on [key.graph] has run since
+    that would have dropped the entry: its labels meet the delta's, or
+    the delta added nodes and the entry is nullable, or the entry's
+    labels are unknown. The value may predate that delta; an entry no
+    later delta touches is stored. *)
 
-val invalidate : t -> graph:string -> int
+val invalidate : 'v t -> graph:string -> int
 (** Drop every entry of the named graph (any version); returns how many
     were dropped. Called on reload so superseded snapshots release their
     memory promptly. *)
 
-val invalidate_delta : t -> graph:string -> labels:string list -> new_nodes:int -> int
+val invalidate_delta : 'v t -> graph:string -> labels:string list -> new_nodes:int -> int
 (** Drop the named graph's entries that a delta with these (sorted)
     labels can affect: label sets intersect, or [new_nodes > 0] and the
     entry's query is nullable. Returns how many were dropped. *)
 
-val stats : t -> stats
+val stats : 'v t -> stats

@@ -90,7 +90,7 @@ type recovery_summary = {
 
 type t = {
   catalog : Catalog.t;
-  cache : Qcache.t;
+  cache : P.Names.t Qcache.t;
   sessions : Sessions.t;
   metrics : Metrics.t;
   slow_ms : float option;
@@ -296,8 +296,9 @@ let evaluate_cached t (entry : Catalog.entry) ?ev ?(explain = false) ?(deadline 
       (* one snapshot for the whole evaluation: heap entries hand over
          their frozen CSR, file-backed entries an overlay-inclusive view
          of the mapped base. The delta generation is read first, so an
-         add_edges batch that lands after the snapshot makes the insert
-         below refuse instead of caching a stale answer. *)
+         add_edges batch that lands after the snapshot and touches this
+         query makes the insert below refuse instead of caching a stale
+         answer. *)
       let generation = Qcache.generation t.cache ~graph:entry.name in
       let source = Catalog.eval_source entry in
       let sel, report =
@@ -331,16 +332,9 @@ let evaluate_cached t (entry : Catalog.entry) ?ev ?(explain = false) ?(deadline 
                  })
       in
       stamp_eval_deltas ();
-      let name_of, n =
-        match source with
-        | Gps_query.Eval.Frozen (g, _) -> (Digraph.node_name g, Digraph.n_nodes g)
-        | Gps_query.Eval.Mapped v -> (Disk_csr.node_name v, Disk_csr.n_nodes v)
-      in
-      let selected = ref [] in
-      for v = n - 1 downto 0 do
-        if sel.(v) then selected := name_of v :: !selected
-      done;
-      let nodes = List.sort compare !selected in
+      (* encoded once, here: the cache keeps only these bytes, and every
+         response that carries this answer splices them *)
+      let nodes = P.Names.of_iter (Catalog.iter_selected entry source sel) in
       (try
          Fault.trip "qcache.insert";
          (* the entry remembers its query's base alphabet and
@@ -762,7 +756,7 @@ let do_query t ?ev graph query explain deadline_ms =
   Option.iter
     (fun w ->
       Wide_event.set_str w "query" query;
-      Wide_event.set_int w "nodes" (List.length nodes))
+      Wide_event.set_int w "nodes" (P.Names.count nodes))
     ev;
   (match t.slow_ms with
   | Some threshold ->
@@ -770,7 +764,7 @@ let do_query t ?ev graph query explain deadline_ms =
       if ms >= threshold then
         log_slow
           ?request_id:(Option.map Wide_event.id ev)
-          ~graph ~query ~cache ~ms ~nodes:(List.length nodes) ~report ()
+          ~graph ~query ~cache ~ms ~nodes:(P.Names.count nodes) ~report ()
   | None -> ());
   P.Answer { query; nodes; cache; explain = (if explain then report else None) }
 

@@ -57,6 +57,22 @@ let test_csr_fold_and_bounds () =
   Alcotest.check_raises "in bounds" (Invalid_argument "Csr.iter_in: node -1 out of range")
     (fun () -> Csr.iter_in csr (-1) (fun _ _ -> ()))
 
+(* Pass 2 moves one edge's source from node 0 to node 1: same length,
+   cursors in range, but other per-node degrees than pass 1 counted. *)
+let test_csr_fill_disagreeing_pass () =
+  let ints len = Bigarray.Array1.create Bigarray.int Bigarray.c_layout len in
+  let pass = ref 0 in
+  let stream f =
+    incr pass;
+    f ~src:(if !pass = 1 then 0 else 1) ~label:0 ~dst:1;
+    f ~src:2 ~label:0 ~dst:0
+  in
+  Alcotest.check_raises "second pass disagrees"
+    (Invalid_argument "Csr.fill: pass 2 stream disagrees with pass 1") (fun () ->
+      ignore
+        (Csr.fill ~n_labels:1 ~out_off:(ints 4) ~in_off:(ints 4) ~out_cells:(ints 2)
+           ~in_cells:(ints 2) stream))
+
 let test_csr_eval_agrees () =
   let g = Generators.city (Generators.default_city ~districts:20) ~seed:4 in
   let csr = Csr.freeze g in
@@ -239,6 +255,7 @@ let suite =
         t "shape" test_csr_shape;
         t "adjacency" test_csr_adjacency_agrees;
         t "fold and bounds" test_csr_fold_and_bounds;
+        t "fill rejects a disagreeing second pass" test_csr_fill_disagreeing_pass;
         t "eval agreement" test_csr_eval_agrees;
       ] );
     ( "ext3.twoway",

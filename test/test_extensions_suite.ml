@@ -65,6 +65,121 @@ let test_json_errors () =
   | exception Json.Parse_error _ -> ()
   | _ -> Alcotest.fail "graph without edges field must be rejected"
 
+(* The printer as it was before it sized its output: one Buffer per
+   escaped string, one closure call per byte. Kept as the reference the
+   printer must match byte for byte. *)
+let reference_escape s =
+  let buf = Buffer.create (String.length s + 2) in
+  String.iter
+    (fun ch ->
+      match ch with
+      | '"' -> Buffer.add_string buf "\\\""
+      | '\\' -> Buffer.add_string buf "\\\\"
+      | '\n' -> Buffer.add_string buf "\\n"
+      | '\r' -> Buffer.add_string buf "\\r"
+      | '\t' -> Buffer.add_string buf "\\t"
+      | c when Char.code c < 0x20 -> Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
+      | c -> Buffer.add_char buf c)
+    s;
+  Buffer.contents buf
+
+let reference_to_string ?(pretty = false) v =
+  let buf = Buffer.create 256 in
+  let nl indent = if pretty then Buffer.add_string buf ("\n" ^ String.make indent ' ') in
+  let rec go indent = function
+    | Json.Null -> Buffer.add_string buf "null"
+    | Json.Bool b -> Buffer.add_string buf (string_of_bool b)
+    | Json.Number f ->
+        if Float.is_integer f && Float.abs f < 1e15 then
+          Buffer.add_string buf (Printf.sprintf "%.0f" f)
+        else
+          let s = Printf.sprintf "%.15g" f in
+          Buffer.add_string buf (if float_of_string s = f then s else Printf.sprintf "%.17g" f)
+    | Json.String s ->
+        Buffer.add_char buf '"';
+        Buffer.add_string buf (reference_escape s);
+        Buffer.add_char buf '"'
+    | Json.Raw _ -> invalid_arg "reference_to_string: no splice leaf"
+    | Json.Array [] -> Buffer.add_string buf "[]"
+    | Json.Array items ->
+        Buffer.add_char buf '[';
+        List.iteri
+          (fun i item ->
+            if i > 0 then Buffer.add_char buf ',';
+            nl (indent + 2);
+            go (indent + 2) item)
+          items;
+        nl indent;
+        Buffer.add_char buf ']'
+    | Json.Object [] -> Buffer.add_string buf "{}"
+    | Json.Object fields ->
+        Buffer.add_char buf '{';
+        List.iteri
+          (fun i (k, item) ->
+            if i > 0 then Buffer.add_char buf ',';
+            nl (indent + 2);
+            Buffer.add_char buf '"';
+            Buffer.add_string buf (reference_escape k);
+            Buffer.add_string buf "\":";
+            if pretty then Buffer.add_char buf ' ';
+            go (indent + 2) item)
+          fields;
+        nl indent;
+        Buffer.add_char buf '}'
+  in
+  go 0 v;
+  Buffer.contents buf
+
+(* Strings over every byte value, with the bytes that take an escape and
+   multibyte UTF-8 drawn often. *)
+let gen_json_string =
+  QCheck.Gen.(
+    map (String.concat "")
+      (list_size (int_bound 12)
+         (frequency
+            [
+              (4, map (String.make 1) char);
+              ( 3,
+                oneofl
+                  [ "\""; "\\"; "\n"; "\r"; "\t"; "\x00"; "\x1f"; "\x7f"; "/"; "\xc3\xa9";
+                    "\xe2\x82\xac"; "\xf0\x9d\x84\x9e"; "\xe6\x97\xa5" ] );
+              (3, string_size ~gen:printable (int_range 1 6));
+            ])))
+
+let gen_json_value =
+  QCheck.Gen.(
+    sized_size (int_bound 4)
+    @@ fix (fun self n ->
+           let leaf =
+             oneof
+               [
+                 return Json.Null;
+                 map (fun b -> Json.Bool b) bool;
+                 map (fun i -> Json.Number (float_of_int i)) (int_range (-1_000_000) 1_000_000);
+                 map (fun f -> Json.Number f) (oneofl [ -0.; 0.5; 2.17; 1e15; -3.25e-7; 1. /. 3. ]);
+                 map (fun f -> Json.Number f) float;
+                 map (fun s -> Json.String s) gen_json_string;
+               ]
+           in
+           if n = 0 then leaf
+           else
+             frequency
+               [
+                 (2, leaf);
+                 (1, map (fun l -> Json.Array l) (list_size (int_bound 4) (self (n - 1))));
+                 ( 1,
+                   map
+                     (fun l -> Json.Object l)
+                     (list_size (int_bound 4) (pair gen_json_string (self (n - 1)))) );
+               ]))
+
+let qcheck_json_printer =
+  QCheck.Test.make ~name:"json: printer = reference printer, compact and pretty" ~count:1000
+    (QCheck.make ~print:reference_to_string gen_json_value)
+    (fun v ->
+      Json.value_to_string v = reference_to_string v
+      && Json.value_to_string ~pretty:true v = reference_to_string ~pretty:true v)
+
 let test_json_isolated_nodes () =
   let g = Json.of_string {| {"nodes": ["lonely"], "edges": [{"src":"a","label":"x","dst":"b"}]} |} in
   check_int "three nodes" 3 (Digraph.n_nodes g);
@@ -448,6 +563,7 @@ let suite =
         t "unicode escapes" test_json_unicode_escape;
         t "errors" test_json_errors;
         t "isolated nodes" test_json_isolated_nodes;
+        QCheck_alcotest.to_alcotest qcheck_json_printer;
       ] );
     ( "ext.edit",
       [

@@ -437,6 +437,29 @@ let test_qcache_generation () =
   check Alcotest.(option (list string)) "fresh cached" (Some [ "fresh" ]) (Qcache.find c k);
   check Alcotest.int "other graphs keep generation 0" 0 (Qcache.generation c ~graph:"other")
 
+(* A later delta refuses exactly the answers it would have dropped had
+   they been cached before it ran. *)
+let test_qcache_add_at_labels () =
+  let c = Qcache.create () in
+  let k q = { Qcache.graph = "g"; version = 1; query = q } in
+  let before = Qcache.generation c ~graph:"g" in
+  ignore (Qcache.invalidate_delta c ~graph:"g" ~labels:[ "tram" ] ~new_nodes:0);
+  ignore (Qcache.invalidate_delta c ~graph:"g" ~labels:[ "funicular" ] ~new_nodes:2);
+  let add ?labels ?nullable q = Qcache.add_at c ~generation:before ?labels ?nullable (k q) [ q ] in
+  check Alcotest.bool "disjoint label kept" true (add ~labels:[ "metro" ] ~nullable:false "metro");
+  check Alcotest.bool "shared label refused" false
+    (add ~labels:[ "bus"; "tram" ] ~nullable:false "tram.bus");
+  check Alcotest.bool "nullable after new nodes refused" false
+    (add ~labels:[ "metro" ] ~nullable:true "metro*");
+  check Alcotest.bool "unknown labels refused" false (add "opaque");
+  check Alcotest.(option (list string)) "kept entry served" (Some [ "metro" ]) (Qcache.find c (k "metro"));
+  check Alcotest.(option (list string)) "refused entry absent" None (Qcache.find c (k "tram.bus"));
+  (* a nullable entry survives a later delta that added no nodes *)
+  let mid = Qcache.generation c ~graph:"g" in
+  ignore (Qcache.invalidate_delta c ~graph:"g" ~labels:[ "tram" ] ~new_nodes:0);
+  check Alcotest.bool "nullable kept without new nodes" true
+    (Qcache.add_at c ~generation:mid ~labels:[ "metro" ] ~nullable:true (k "metro*") [ "metro*" ])
+
 (* ------------------------------------------------------------------ *)
 (* catalog: file backing *)
 
@@ -483,12 +506,83 @@ let test_catalog_file_backing () =
 (* server: load_file / add_edges end to end *)
 
 let expect_answer = function
-  | P.Answer { nodes; cache; _ } -> (nodes, cache)
+  | P.Answer { nodes; cache; _ } -> (P.Names.to_list nodes, cache)
   | r -> Alcotest.failf "expected answer, got %s" (P.response_to_string r)
 
 let expect_err code = function
   | P.Err e -> check Alcotest.string "error code" code e.P.code
   | r -> Alcotest.failf "expected %s error, got %s" code (P.response_to_string r)
+
+(* Names that take an escape, multibyte UTF-8, and a byte order that
+   differs from a case-folded one. *)
+let tricky_names =
+  [ "N1"; "n2"; "a\"q"; "b\\s"; "c\nd"; "e\x01f"; "\xc3\xa9t\xc3\xa9"; "\xe6\x97\xa5"; "Z"; "m n"; "x\x7f" ]
+
+let answer_queries = [ "a"; "a.b"; "(a+b)*"; "a*.b"; "b~"; "(a+b~)*.a" ]
+
+(* Every answer's "nodes" member is, byte for byte, what the reference
+   printer makes of the sorted names of Eval.select: on a miss and on
+   the hit that follows, on a heap graph and on its mapped pack. *)
+let qcheck_answer_bytes =
+  let gen =
+    QCheck.Gen.(
+      let* names = shuffle_l tricky_names in
+      let* n = int_range 2 (List.length names) in
+      let names = List.filteri (fun i _ -> i < n) names in
+      let node = int_bound (n - 1) in
+      let* edges = list_size (int_bound 14) (triple node (oneofl [ "a"; "b" ]) node) in
+      return (names, edges))
+  in
+  let print (names, edges) =
+    Printf.sprintf "names %s edges %s" (String.concat "," (List.map String.escaped names))
+      (String.concat " " (List.map (fun (s, l, d) -> Printf.sprintf "%d-%s->%d" s l d) edges))
+  in
+  QCheck.Test.make ~name:"server: answer bytes = reference, miss then hit, heap and mapped"
+    ~count:60 (QCheck.make ~print gen) (fun (names, edges) ->
+      let g = Digraph.create () in
+      List.iter (fun nm -> ignore (Digraph.add_node g nm)) names;
+      List.iter (fun (s, l, d) -> Digraph.link g (List.nth names s) l (List.nth names d)) edges;
+      let json = Filename.temp_file "gps_ooc" ".json" and csr = temp_csr () in
+      Fun.protect
+        ~finally:(fun () ->
+          cleanup json;
+          cleanup csr)
+        (fun () ->
+          Out_channel.with_open_bin json (fun oc ->
+              output_string oc (Gps_graph.Json.to_string g));
+          Disk.pack_digraph g ~path:csr;
+          let t = Srv.create () in
+          (match Srv.handle t (P.Load { name = "heap"; source = P.Path json }) with
+          | P.Loaded _ -> ()
+          | r -> Alcotest.failf "load: %s" (P.response_to_string r));
+          (match Srv.handle t (P.Load_file { name = "disk"; path = csr }) with
+          | P.Loaded _ -> ()
+          | r -> Alcotest.failf "load_file: %s" (P.response_to_string r));
+          List.for_all
+            (fun qs ->
+              let sel = Eval.select g (parse qs) in
+              let selected = List.filter (fun nm -> sel.(Option.get (Digraph.node_of_name g nm))) names in
+              let expected =
+                Test_extensions_suite.reference_to_string
+                  (Gps_graph.Json.Array
+                     (List.map (fun s -> Gps_graph.Json.String s) (List.sort compare selected)))
+              in
+              List.for_all
+                (fun graph ->
+                  let ask () =
+                    Srv.handle_line t
+                      (P.request_to_string
+                         (P.Query { graph; query = qs; explain = false; deadline_ms = None }))
+                  in
+                  let first = ask () in
+                  let second = ask () in
+                  let member = "\"nodes\":" ^ expected ^ ",\"cache\":\"" in
+                  Test_graph_suite.contains ~needle:member first
+                  && Test_graph_suite.contains ~needle:(member ^ "hit\"") second
+                  || QCheck.Test.fail_reportf "%s on %s: expected %s, got %s then %s" qs graph
+                       expected first second)
+                [ "heap"; "disk" ])
+            answer_queries))
 
 let test_server_ooc () =
   let g = city ~districts:6 ~seed:13 () in
@@ -671,9 +765,12 @@ let suite =
         Alcotest.test_case "qcache label-aware delta invalidation" `Quick test_qcache_delta;
         Alcotest.test_case "qcache refuses inserts older than a delta" `Quick
           test_qcache_generation;
+        Alcotest.test_case "qcache add_at refuses only what a delta touched" `Quick
+          test_qcache_add_at_labels;
         Alcotest.test_case "catalog file backing" `Quick test_catalog_file_backing;
         Alcotest.test_case "load_file / add_edges end to end" `Quick test_server_ooc;
         Alcotest.test_case "two-way queries over the overlay" `Quick test_server_twoway;
+        QCheck_alcotest.to_alcotest qcheck_answer_bytes;
         Alcotest.test_case "store compaction emits binary snapshot" `Quick
           test_store_compact_snapshot;
       ] );

@@ -45,7 +45,7 @@ let fresh ?(cache = 256) ?(sessions = Sessions.default_config) ?clock ?slow_ms ?
 let load_fig1 t = Srv.handle t (P.Load { name = "fig"; source = P.Builtin "figure1" })
 
 let expect_answer = function
-  | P.Answer { query; nodes; cache; explain = _ } -> (query, nodes, cache)
+  | P.Answer { query; nodes; cache; explain = _ } -> (query, P.Names.to_list nodes, cache)
   | r -> Alcotest.failf "expected answer, got %s" (P.response_to_string r)
 
 let expect_session = function
@@ -113,7 +113,7 @@ let test_learn () =
   match Srv.handle t (P.Learn { graph = "fig"; pos = [ "N2"; "N6" ]; neg = [ "N5" ]; deadline_ms = None }) with
   | P.Learned { query; selects } ->
       check Alcotest.string "learned" "bus" query;
-      check (Alcotest.list Alcotest.string) "selects" [ "N1"; "N2"; "N6" ] selects
+      check (Alcotest.list Alcotest.string) "selects" [ "N1"; "N2"; "N6" ] (P.Names.to_list selects)
   | r -> Alcotest.failf "expected learned, got %s" (P.response_to_string r)
 
 (* drive a full interactive session through the dispatch core with a
@@ -146,14 +146,14 @@ let test_full_session () =
         in
         drive v (steps + 1)
     | P.Proposal { selects; _ } ->
-        let accept = selects = goal in
+        let accept = P.Names.to_list selects = goal in
         let _, v =
           expect_session (Srv.handle t (P.Session_propose { session = sid; accept }))
         in
         drive v (steps + 1)
     | P.Finished { reason; selects; _ } ->
         check Alcotest.string "reason" "satisfied" reason;
-        check (Alcotest.list Alcotest.string) "final selects" goal selects
+        check (Alcotest.list Alcotest.string) "final selects" goal (P.Names.to_list selects)
   in
   drive view 0;
   (match Srv.handle t (P.Session_stop { session = sid }) with
@@ -414,7 +414,7 @@ let test_query_explain () =
         | Ok r -> r
         | Error msg -> Alcotest.failf "explain not a report: %s" msg
       in
-      check Alcotest.int "selected matches answer" (List.length nodes)
+      check Alcotest.int "selected matches answer" (P.Names.count nodes)
         r.Gps_query.Eval.selected;
       check Alcotest.bool "positive product" true (r.Gps_query.Eval.product_states > 0);
       check Alcotest.bool "levels recorded" true (r.Gps_query.Eval.report_levels <> []);
@@ -659,13 +659,13 @@ let gen_view =
        return (P.Ask_path { node; words; suggested }));
       (let* query = gen_query in
        let* selects = list_size (int_bound 4) gen_name in
-       return (P.Proposal { query; selects }));
+       return (P.Proposal { query; selects = P.Names.of_list selects }));
       (let* query = gen_query in
        let* reason =
          oneofl [ "satisfied"; "no-informative-nodes"; "budget-exhausted"; "inconsistent" ]
        in
        let* selects = list_size (int_bound 4) gen_name in
-       return (P.Finished { query; reason; selects }));
+       return (P.Finished { query; reason; selects = P.Names.of_list selects }));
     ]
 
 let gen_response =
@@ -705,10 +705,10 @@ let gen_response =
                   [ ("cache", Json.String "miss"); ("product_states", Json.Number 42.) ];
               ])
        in
-       return (P.Answer { query; nodes; cache; explain }));
+       return (P.Answer { query; nodes = P.Names.of_list nodes; cache; explain }));
       (let* query = gen_query in
        let* selects = list_size (int_bound 4) gen_name in
-       return (P.Learned { query; selects }));
+       return (P.Learned { query; selects = P.Names.of_list selects }));
       (let* session = gen_session in
        let* view = gen_view in
        return (P.Session { session; view }));
@@ -780,6 +780,22 @@ let qcheck_tests =
     Test.make ~name:"protocol: response survives the wire (via text)" ~count:500 arb_response
       (fun r ->
         ok_or_fail (P.decode_response (Json.value_of_string (P.response_to_string r))) = r);
+    Test.make ~name:"protocol: names keep their list and print as the reference array"
+      ~count:500
+      (make ~print:(fun l -> String.concat " | " (List.map String.escaped l))
+         Gen.(list_size (int_bound 8) Test_extensions_suite.gen_json_string))
+      (fun l ->
+        let names = P.Names.of_list l in
+        let reference =
+          Test_extensions_suite.reference_to_string (Json.Array (List.map (fun s -> Json.String s) l))
+        in
+        let spliced =
+          Json.member "nodes"
+            (P.encode_response (P.Answer { query = "q"; nodes = names; cache = `Hit; explain = None }))
+        in
+        P.Names.to_list names = l
+        && P.Names.count names = List.length l
+        && spliced = Some (Json.Raw reference));
     (* fuzz: truncating a valid request line anywhere never crashes the
        dispatch loop and always yields a structured error or answer *)
     Test.make ~name:"fuzz: truncated request lines get structured responses" ~count:300
