@@ -5,7 +5,9 @@
    wall_s varies by machine, but every counter is an exact work count
    (product states built, merges attempted, witness expansions, session
    steps) for the scripted workload, so a diff of the committed file
-   flags algorithmic regressions rather than machine noise. *)
+   flags algorithmic regressions rather than machine noise. CI makes
+   that diff: every segment's counters must equal the committed file's,
+   key for key, and wall clocks are ignored. *)
 
 module Json = Gps.Graph.Json
 module Clock = Gps.Obs.Clock

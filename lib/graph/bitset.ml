@@ -31,7 +31,7 @@ let test_and_set t i =
     true
   end
 
-let clear t = Bytes.fill t.bits 0 (Bytes.length t.bits) '\000'
+let clear ?(below = max_int) t = Bytes.fill t.bits 0 ((min below t.length + 7) lsr 3) '\000'
 
 (* 8-bit popcount table: cardinal is a byte-table walk, not a per-bit loop. *)
 let popcount8 =

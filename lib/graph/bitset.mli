@@ -27,8 +27,9 @@ val test_and_set : t -> int -> bool
     ([false] if it was already present). This is the evaluation kernel's
     dedup primitive. *)
 
-val clear : t -> unit
-(** Reset every bit to 0 (the backing store is reused). *)
+val clear : ?below:int -> t -> unit
+(** Reset to 0 every bit below [below] (default: all), and any other
+    bit in the same bytes; the backing store is reused. *)
 
 val cardinal : t -> int
 (** Number of set bits. *)

@@ -99,14 +99,24 @@ let n_labels t = t.n_labels
 let check t v name =
   if v < 0 || v >= t.n then invalid_arg (Printf.sprintf "Csr.%s: node %d out of range" name v)
 
+let out_off t = t.out_off
+let in_off t = t.in_off
+let out_cells t = t.out_cells
+let in_cells t = t.in_cells
+let cell_label c = c lsr node_bits
+let cell_node c = c land node_mask
+
 (* One range check per node covers its cell reads, so a mapped file
    with corrupted offsets raises instead of reading past its mapping. *)
+let check_range (cells : int_arr) lo hi =
+  if lo < 0 || hi > Bigarray.Array1.dim cells then invalid_arg "Csr: offsets out of range"
+
 let scan (off : int_arr) (cells : int_arr) v f =
   let lo = off.{v} and hi = off.{v + 1} in
-  if lo < 0 || hi > Bigarray.Array1.dim cells then invalid_arg "Csr: offsets out of range";
+  check_range cells lo hi;
   for i = lo to hi - 1 do
     let c = Bigarray.Array1.unsafe_get cells i in
-    f (c lsr node_bits) (c land node_mask)
+    f (cell_label c) (cell_node c)
   done
 
 let iter_out t v f =

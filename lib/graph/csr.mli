@@ -8,7 +8,8 @@
     offsets and [m] packed cells [(label lsl 40) lor endpoint], one word
     per edge, all in int {!Bigarray}s. {!Disk_csr} files store exactly
     these four arrays, so a mapped file's base is a [t] over its
-    mapping and the kernel reads both through the same code.
+    mapping and the evaluation kernel scans both inline, through
+    {!in_off}/{!in_cells} (and the out-arrays) and {!check_range}.
 
     A snapshot shares the original graph's node/label ids; it reflects the
     graph at freeze time and is immutable. It carries no names. *)
@@ -60,3 +61,16 @@ val iter_out : t -> Digraph.node -> (Digraph.label -> Digraph.node -> unit) -> u
 val iter_in : t -> Digraph.node -> (Digraph.label -> Digraph.node -> unit) -> unit
 (** Iterate [(label, source)] over the node's in-edges.
     @raise Invalid_argument on an out-of-range node. *)
+
+(** {2 The raw layout}, for a loop that scans cells inline: node [v]'s
+    cells are [off.{v}] to [off.{v+1} - 1]. Callers must not write. *)
+val out_off : t -> int_arr
+val in_off : t -> int_arr
+val out_cells : t -> int_arr
+val in_cells : t -> int_arr
+val cell_label : int -> Digraph.label
+val cell_node : int -> Digraph.node
+
+val check_range : int_arr -> int -> int -> unit
+(** [check_range cells lo hi] guards reads of [cells.{lo .. hi-1}].
+    @raise Invalid_argument unless [0 <= lo] and [hi <= dim cells]. *)

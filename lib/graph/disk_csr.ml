@@ -403,10 +403,6 @@ let label_of_name v s =
   | Some _ as r -> r
   | None -> Smap.find_opt s v.v_ov.x_label_ids
 
-let check_node v id name =
-  if id < 0 || id >= n_nodes v then
-    invalid_arg (Printf.sprintf "Disk_csr.%s: node %d out of range" name id)
-
 let overlay_iter_in v id f =
   match Imap.find_opt id v.v_ov.o_in with
   | None -> ()
@@ -416,16 +412,6 @@ let overlay_iter_out v id f =
   match Imap.find_opt id v.v_ov.o_out with
   | None -> ()
   | Some l -> List.iter (fun (lbl, d) -> f lbl d) l
-
-let iter_in v id f =
-  check_node v id "iter_in";
-  if id < v.v_base.n then Csr.iter_in v.v_base.csr id f;
-  overlay_iter_in v id f
-
-let iter_out v id f =
-  check_node v id "iter_out";
-  if id < v.v_base.n then Csr.iter_out v.v_base.csr id f;
-  overlay_iter_out v id f
 
 let base v = v.v_base.csr
 
@@ -533,6 +519,8 @@ let to_digraph v =
     ignore (Digraph.intern_label g (label_name v l))
   done;
   for src = 0 to total - 1 do
-    iter_out v src (fun lbl dst -> Digraph.add_edge g ~src ~label:(label_name v lbl) ~dst)
+    let add lbl dst = Digraph.add_edge g ~src ~label:(label_name v lbl) ~dst in
+    if src < v.v_base.n then Csr.iter_out v.v_base.csr src add;
+    overlay_iter_out v src add
   done;
   g

@@ -128,11 +128,12 @@ val node_name : view -> int -> string
 val label_name : view -> int -> string
 val label_of_name : view -> string -> int option
 
-val iter_in : view -> int -> (int -> int -> unit) -> unit
-(** Iterate [(label, source)] over in-edges, base then overlay. *)
-
-val iter_out : view -> int -> (int -> int -> unit) -> unit
-(** Iterate [(label, destination)] over out-edges, base then overlay. *)
+val overlay_iter_in : view -> int -> (int -> int -> unit) -> unit
+val overlay_iter_out : view -> int -> (int -> int -> unit) -> unit
+(** Iterate [(label, source)] over a node's overlay in-edges, or
+    [(label, destination)] over its overlay out-edges. A node's whole
+    adjacency is its {!base} cells (ids below the base's node count),
+    then these. *)
 
 val base : view -> Csr.t
 (** The mapped base file's adjacency (overlay excluded), read in place.

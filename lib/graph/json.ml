@@ -10,28 +10,31 @@ type value =
 exception Parse_error of int * string
 
 (* ------------------------------------------------------------------ *)
-(* parsing *)
+(* parsing: the cursor is tested in place, never boxed into an option
+   ([cur] reads the byte under it once [at_end] is false), and a string
+   without escapes is one [String.sub] *)
 
 type cursor = { text : string; mutable pos : int }
 
 let fail c msg = raise (Parse_error (c.pos, msg))
 
-let peek c = if c.pos < String.length c.text then Some c.text.[c.pos] else None
+let at_end c = c.pos >= String.length c.text
+
+let cur c = String.unsafe_get c.text c.pos
+
+let looking_at c ch = (not (at_end c)) && cur c = ch
 
 let advance c = c.pos <- c.pos + 1
 
-let rec skip_ws c =
-  match peek c with
-  | Some (' ' | '\t' | '\n' | '\r') ->
-      advance c;
-      skip_ws c
-  | Some _ | None -> ()
+let skip_ws c =
+  while (not (at_end c)) && match cur c with ' ' | '\t' | '\n' | '\r' -> true | _ -> false do
+    advance c
+  done
 
 let expect c ch =
-  match peek c with
-  | Some x when x = ch -> advance c
-  | Some x -> fail c (Printf.sprintf "expected %C, found %C" ch x)
-  | None -> fail c (Printf.sprintf "expected %C, found end of input" ch)
+  if at_end c then fail c (Printf.sprintf "expected %C, found end of input" ch)
+  else if cur c = ch then advance c
+  else fail c (Printf.sprintf "expected %C, found %C" ch (cur c))
 
 let parse_literal c word v =
   let n = String.length word in
@@ -41,61 +44,72 @@ let parse_literal c word v =
   end
   else fail c (Printf.sprintf "expected %s" word)
 
+(* after the opening quote; a [Buffer] only once an escape appears *)
 let parse_string_body c =
-  let buf = Buffer.create 16 in
-  let rec go () =
-    match peek c with
-    | None -> fail c "unterminated string"
-    | Some '"' -> advance c
-    | Some '\\' -> (
-        advance c;
-        match peek c with
-        | None -> fail c "unterminated escape"
-        | Some esc ->
-            advance c;
-            (match esc with
-            | '"' -> Buffer.add_char buf '"'
-            | '\\' -> Buffer.add_char buf '\\'
-            | '/' -> Buffer.add_char buf '/'
-            | 'b' -> Buffer.add_char buf '\b'
-            | 'f' -> Buffer.add_char buf '\012'
-            | 'n' -> Buffer.add_char buf '\n'
-            | 'r' -> Buffer.add_char buf '\r'
-            | 't' -> Buffer.add_char buf '\t'
-            | 'u' ->
-                if c.pos + 4 > String.length c.text then fail c "truncated \\u escape";
-                let hex = String.sub c.text c.pos 4 in
-                let code =
-                  try int_of_string ("0x" ^ hex) with Failure _ -> fail c "bad \\u escape"
-                in
-                c.pos <- c.pos + 4;
-                (* encode the code point as UTF-8 (basic plane only) *)
-                if code < 0x80 then Buffer.add_char buf (Char.chr code)
-                else if code < 0x800 then begin
-                  Buffer.add_char buf (Char.chr (0xC0 lor (code lsr 6)));
-                  Buffer.add_char buf (Char.chr (0x80 lor (code land 0x3F)))
-                end
-                else begin
-                  Buffer.add_char buf (Char.chr (0xE0 lor (code lsr 12)));
-                  Buffer.add_char buf (Char.chr (0x80 lor ((code lsr 6) land 0x3F)));
-                  Buffer.add_char buf (Char.chr (0x80 lor (code land 0x3F)))
-                end
-            | other -> fail c (Printf.sprintf "bad escape \\%c" other));
-            go ())
-    | Some ch ->
-        advance c;
-        Buffer.add_char buf ch;
-        go ()
-  in
-  go ();
-  Buffer.contents buf
+  let start = c.pos in
+  while (not (at_end c)) && cur c <> '"' && cur c <> '\\' do
+    advance c
+  done;
+  if at_end c then fail c "unterminated string";
+  if cur c = '"' then begin
+    advance c;
+    String.sub c.text start (c.pos - 1 - start)
+  end
+  else begin
+    let buf = Buffer.create (c.pos - start + 16) in
+    Buffer.add_substring buf c.text start (c.pos - start);
+    let rec go () =
+      if at_end c then fail c "unterminated string";
+      let ch = cur c in
+      advance c;
+      match ch with
+      | '"' -> ()
+      | '\\' ->
+          if at_end c then fail c "unterminated escape";
+          let esc = cur c in
+          advance c;
+          (match esc with
+          | '"' -> Buffer.add_char buf '"'
+          | '\\' -> Buffer.add_char buf '\\'
+          | '/' -> Buffer.add_char buf '/'
+          | 'b' -> Buffer.add_char buf '\b'
+          | 'f' -> Buffer.add_char buf '\012'
+          | 'n' -> Buffer.add_char buf '\n'
+          | 'r' -> Buffer.add_char buf '\r'
+          | 't' -> Buffer.add_char buf '\t'
+          | 'u' ->
+              if c.pos + 4 > String.length c.text then fail c "truncated \\u escape";
+              let hex = String.sub c.text c.pos 4 in
+              let code =
+                try int_of_string ("0x" ^ hex) with Failure _ -> fail c "bad \\u escape"
+              in
+              c.pos <- c.pos + 4;
+              (* encode the code point as UTF-8 (basic plane only) *)
+              if code < 0x80 then Buffer.add_char buf (Char.chr code)
+              else if code < 0x800 then begin
+                Buffer.add_char buf (Char.chr (0xC0 lor (code lsr 6)));
+                Buffer.add_char buf (Char.chr (0x80 lor (code land 0x3F)))
+              end
+              else begin
+                Buffer.add_char buf (Char.chr (0xE0 lor (code lsr 12)));
+                Buffer.add_char buf (Char.chr (0x80 lor ((code lsr 6) land 0x3F)));
+                Buffer.add_char buf (Char.chr (0x80 lor (code land 0x3F)))
+              end
+          | other -> fail c (Printf.sprintf "bad escape \\%c" other));
+          go ()
+      | ch ->
+          Buffer.add_char buf ch;
+          go ()
+    in
+    go ();
+    Buffer.contents buf
+  end
+
+let is_num_char = function '0' .. '9' | '-' | '+' | '.' | 'e' | 'E' -> true | _ -> false
 
 let parse_number c =
   let start = c.pos in
-  let is_num_char ch =
-    (ch >= '0' && ch <= '9') || ch = '-' || ch = '+' || ch = '.' || ch = 'e' || ch = 'E'
-  in
-  while (match peek c with Some ch -> is_num_char ch | None -> false) do
+  while (not (at_end c)) && is_num_char (cur c) do
     advance c
   done;
   let s = String.sub c.text start (c.pos - start) in
@@ -105,73 +119,68 @@ let parse_number c =
 
 let rec parse_value c =
   skip_ws c;
-  match peek c with
-  | None -> fail c "unexpected end of input"
-  | Some '"' ->
+  if at_end c then fail c "unexpected end of input";
+  match cur c with
+  | '"' ->
       advance c;
       String (parse_string_body c)
-  | Some '{' ->
+  | '{' ->
       advance c;
       parse_object c []
-  | Some '[' ->
+  | '[' ->
       advance c;
       parse_array c []
-  | Some 't' -> parse_literal c "true" (Bool true)
-  | Some 'f' -> parse_literal c "false" (Bool false)
-  | Some 'n' -> parse_literal c "null" Null
-  | Some ('-' | '0' .. '9') -> parse_number c
-  | Some ch -> fail c (Printf.sprintf "unexpected %C" ch)
+  | 't' -> parse_literal c "true" (Bool true)
+  | 'f' -> parse_literal c "false" (Bool false)
+  | 'n' -> parse_literal c "null" Null
+  | '-' | '0' .. '9' -> parse_number c
+  | ch -> fail c (Printf.sprintf "unexpected %C" ch)
 
 and parse_object c acc =
   skip_ws c;
-  match peek c with
-  | Some '}' ->
+  if looking_at c '}' then begin
+    advance c;
+    Object (List.rev acc)
+  end
+  else begin
+    expect c '"';
+    let key = parse_string_body c in
+    skip_ws c;
+    expect c ':';
+    let acc = (key, parse_value c) :: acc in
+    skip_ws c;
+    if looking_at c ',' then begin
       advance c;
-      Object (List.rev acc)
-  | _ ->
       skip_ws c;
-      expect c '"';
-      let key = parse_string_body c in
-      skip_ws c;
-      expect c ':';
-      let v = parse_value c in
-      skip_ws c;
-      (match peek c with
-      | Some ',' ->
-          advance c;
-          skip_ws c;
-          if peek c = Some '}' then fail c "trailing comma in object"
-          else parse_object c ((key, v) :: acc)
-      | Some '}' ->
-          advance c;
-          Object (List.rev ((key, v) :: acc))
-      | _ -> fail c "expected ',' or '}'")
+      if looking_at c '}' then fail c "trailing comma in object" else parse_object c acc
+    end
+    else if looking_at c '}' then parse_object c acc
+    else fail c "expected ',' or '}'"
+  end
 
 and parse_array c acc =
   skip_ws c;
-  match peek c with
-  | Some ']' ->
+  if looking_at c ']' then begin
+    advance c;
+    Array (List.rev acc)
+  end
+  else begin
+    let acc = parse_value c :: acc in
+    skip_ws c;
+    if looking_at c ',' then begin
       advance c;
-      Array (List.rev acc)
-  | _ ->
-      let v = parse_value c in
       skip_ws c;
-      (match peek c with
-      | Some ',' ->
-          advance c;
-          skip_ws c;
-          if peek c = Some ']' then fail c "trailing comma in array"
-          else parse_array c (v :: acc)
-      | Some ']' ->
-          advance c;
-          Array (List.rev (v :: acc))
-      | _ -> fail c "expected ',' or ']'")
+      if looking_at c ']' then fail c "trailing comma in array" else parse_array c acc
+    end
+    else if looking_at c ']' then parse_array c acc
+    else fail c "expected ',' or ']'"
+  end
 
 let value_of_string text =
   let c = { text; pos = 0 } in
   let v = parse_value c in
   skip_ws c;
-  (match peek c with None -> () | Some _ -> fail c "trailing input");
+  if not (at_end c) then fail c "trailing input";
   v
 
 (* ------------------------------------------------------------------ *)

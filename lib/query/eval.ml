@@ -36,16 +36,23 @@ let checkpoint_interval = 512
    symbol [l~] is keyed past every forward key, at [inv + l * m + q'],
    and is matched against out-edges; the index only grows that second
    half when the query has an inverse transition. Transitions on labels
-   the graph does not know can never fire and are dropped. *)
+   the graph does not know can never fire and are dropped.
+
+   Bit [l] of [into.(q')] is set iff some transition on label [l]
+   enters [q'] ([into.(m + q')] for [l~]): an edge whose label no such
+   transition reads is skipped after one test. Labels from
+   [Sys.int_size] up have no bit and always probe the index. *)
 type plan = {
   n : int;  (* graph nodes *)
   m : int;  (* automaton states *)
+  sh : int;  (* ceil (log2 m): product state (v, q) is (v lsl sh) lor q *)
   inv : int;  (* n_labels * m: the first inverse key *)
   two_way : bool;  (* some transition steps an edge backwards *)
   rev_off : int array;  (* length n_labels * m + 1, doubled when [two_way] *)
   rev_src : int array;
-  starts : int list;
-  finals : int list;
+  into : int array;  (* length 2m: per-state label masks, forward then inverse *)
+  starts : int array;
+  finals : int array;
 }
 
 (* The plan is pure index arithmetic: it needs the node count, the label
@@ -55,11 +62,16 @@ type plan = {
 let build_plan ~n ~n_labels ~label_of_name nfa =
   let m = Nfa.n_states nfa in
   let inv = n_labels * m in
+  let into = Array.make (2 * m) 0 in
   let trans =
     List.filter_map
       (fun (qs, sym, qd) ->
         match label_of_name (Rpq.base_label sym) with
-        | Some lbl -> Some (qs, (if Rpq.is_inverse sym then inv else 0) + (lbl * m) + qd)
+        | Some lbl ->
+            let back = Rpq.is_inverse sym in
+            let slot = if back then m + qd else qd in
+            if lbl < Sys.int_size then into.(slot) <- into.(slot) lor (1 lsl lbl);
+            Some (qs, (if back then inv else 0) + (lbl * m) + qd)
         | None -> None)
       (Nfa.transitions nfa)
   in
@@ -77,18 +89,20 @@ let build_plan ~n ~n_labels ~label_of_name nfa =
       rev_src.(cursor.(k)) <- qs;
       cursor.(k) <- cursor.(k) + 1)
     trans;
-  { n; m; inv; two_way; rev_off; rev_src; starts = Nfa.starts nfa; finals = Nfa.finals nfa }
+  let rec ceil_log2 sh = if 1 lsl sh >= m then sh else ceil_log2 (sh + 1) in
+  let starts = Array.of_list (Nfa.starts nfa) and finals = Array.of_list (Nfa.finals nfa) in
+  { n; m; sh = ceil_log2 0; inv; two_way; rev_off; rev_src; into; starts; finals }
 
 (* ------------------------------------------------------------------ *)
-(* The one shared kernel: backward product BFS from the accepting
-   product states (on every node, or on the caller's targets) over
-   reversed product edges.
+(* The one kernel: backward product BFS from the accepting product
+   states (on every node, or on the caller's targets) over reversed
+   product edges.
 
-   Product states are int-encoded as [v * m + q]. Every state enters the
-   queue at most once, so a single [n * m] int array doubles as the
-   queue and the level structure: a level is the [queue[head, tail)]
-   snapshot taken when it starts. Membership ("an accepting state is
-   reachable from here") is one bit per product state. *)
+   Every state enters the queue at most once, so one int array of
+   [n * m] slots doubles as the queue and the level structure: a level
+   is the [queue[head, tail)] snapshot taken when it starts. Membership
+   ("an accepting state is reachable from here") is one bit per product
+   state; the shift encoding rounds its index space up to [n lsl sh]. *)
 
 type stats = {
   visits : int;
@@ -99,127 +113,139 @@ type stats = {
   interrupted : Deadline.reason option;  (* [Some _] iff the BFS stopped early *)
 }
 
-(* The kernel is abstract over how edges are iterated. It is
-   instantiated twice below: flat over a Csr snapshot, which heap-frozen
-   and mapped graphs share — per edge an offset probe, a packed-cell read
-   and a closure call — and over a mapped view with its overlay. Out-edges
-   are only walked when the plan has an inverse transition. *)
-module type ADJACENCY = sig
-  type g
+(* Queue and bitset outlive a run in one slot. A run takes them when
+   they are big enough; a finished run clears the bits it set and puts
+   them back, a run that raises drops them, and a run that finds the
+   slot empty (another run holds it) allocates its own. *)
+type scratch = { queue : int array; mem : Bitset.t }
 
-  val iter_in : g -> int -> (int -> int -> unit) -> unit
-  (** [iter_in g v f] calls [f label source] for every in-edge of [v]. *)
+let pool : scratch option Atomic.t = Atomic.make None
 
-  val iter_out : g -> int -> (int -> int -> unit) -> unit
-  (** [iter_out g v f] calls [f label destination] for every out-edge of [v]. *)
-end
+let take_scratch ~states ~space =
+  match Atomic.exchange pool None with
+  | Some s when Array.length s.queue >= states && Bitset.length s.mem >= space -> s
+  | _ -> { queue = Array.make (max states 1) 0; mem = Bitset.create space }
 
-module Make_kernel (A : ADJACENCY) = struct
-  let run ~want_dist ~deadline ~targets plan adj =
-    let { n; m; inv; two_way; rev_off; rev_src; finals; _ } = plan in
-    let size = n * m in
-    let mem = Bitset.create size in
-    let dist = if want_dist then Some (Array.make (max size 1) (-1)) else None in
-    let set_dist =
-      match dist with Some d -> fun idx level -> d.(idx) <- level | None -> fun _ _ -> ()
-    in
-    let queue = Array.make (max size 1) 0 in
-    let head = ref 0 and tail = ref 0 in
-    (* seed: every accepting product state on a target node, at distance 0 *)
-    for v = 0 to n - 1 do
-      match targets with
-      | Some t when not t.(v) -> ()
-      | _ ->
-          List.iter
-            (fun qf ->
-              let idx = (v * m) + qf in
-              if Bitset.test_and_set mem idx then begin
-                set_dist idx 0;
-                queue.(!tail) <- idx;
-                incr tail
-              end)
-            finals
-    done;
-    let dedup = ref 0 in
-    (* Cooperative cancellation. [guarded] keeps the no-deadline hot path
-       at one bool test per visit — the clock is never read and
-       [interrupted] can never flip. Deadline polls happen at every level
-       boundary and every [checkpoint_interval] visits within a level;
-       [checks] totals them for the EXPLAIN report. *)
-    let guarded = not (Deadline.is_none deadline) in
-    let interrupted = ref None in
-    let checks = ref 0 in
-    let poll () =
-      incr checks;
-      match Deadline.check deadline with Some _ as r -> interrupted := r | None -> ()
-    in
-    let stopping () = guarded && Option.is_some !interrupted in
-    let level = ref 0 and levels = ref [] in
-    (* push every (v, qs) whose [key] transition leads into the state
-       being expanded *)
-    let push_preds key v =
-      for k = rev_off.(key) to rev_off.(key + 1) - 1 do
-        let pidx = (v * m) + rev_src.(k) in
-        if Bitset.test_and_set mem pidx then begin
-          set_dist pidx !level;
-          queue.(!tail) <- pidx;
-          incr tail
-        end
-        else incr dedup
+(* The kernel scans the packed cells of a [Csr.t] inline (a heap freeze
+   or a mapped base) and a non-empty overlay's edges through callbacks
+   built once per run; out-edges only for an inverse transition. *)
+let run_kernel ~want_dist ~deadline ~targets plan csr overlay =
+  let { n; m; sh; inv; two_way; rev_off; rev_src; into; starts; finals } = plan in
+  let space = n lsl sh in
+  let ({ queue; mem } as scratch) = take_scratch ~states:(n * m) ~space in
+  let dist = if want_dist then Some (Array.make (max space 1) (-1)) else None in
+  let tail = ref 0 and dedup = ref 0 and level = ref 0 in
+  let enqueue idx =
+    if Bitset.test_and_set mem idx then begin
+      (match dist with Some d -> d.(idx) <- !level | None -> ());
+      queue.(!tail) <- idx;
+      incr tail
+    end
+    else incr dedup
+  in
+  (* push every (v, qs) whose [key] transition leads into the state
+     being expanded; a pooled bitset may be larger than this run's
+     index space, so the endpoint is range-checked here *)
+  let push key v =
+    if v >= n then invalid_arg "Eval: edge endpoint out of range";
+    for k = rev_off.(key) to rev_off.(key + 1) - 1 do
+      enqueue ((v lsl sh) lor rev_src.(k))
+    done
+  in
+  (* seed: every accepting product state on a target node, at distance
+     0 (the finals are distinct, so no seed counts as a dedup) *)
+  for v = 0 to n - 1 do
+    if match targets with Some t -> t.(v) | None -> true then
+      for i = 0 to Array.length finals - 1 do
+        enqueue ((v lsl sh) lor finals.(i))
       done
-    in
-    if guarded then poll ();
-    while !head < !tail && not (stopping ()) do
-      incr level;
-      let hi = !tail in
-      levels := (hi - !head) :: !levels;
-      let since = ref 0 in
-      (* expand queue.(head): push the product-BFS predecessors of (v', q') *)
-      while !head < hi && not (stopping ()) do
-        (if guarded then begin
-           incr since;
-           if !since >= checkpoint_interval then begin
-             since := 0;
-             poll ()
-           end
-         end);
-        let idx = queue.(!head) in
-        let v' = idx / m and q' = idx mod m in
-        A.iter_in adj v' (fun lbl v -> push_preds ((lbl * m) + q') v);
-        (* (v, qs) -l~-> (v', q') walks an edge v' -l-> v backwards *)
-        if two_way then A.iter_out adj v' (fun lbl v -> push_preds (inv + (lbl * m) + q') v);
-        incr head
-      done;
-      if guarded then poll ()
+  done;
+  (* Cooperative cancellation. [guarded] keeps the no-deadline hot path
+     at one bool test per visit — the clock is never read and
+     [interrupted] can never flip. Deadline polls happen at every level
+     boundary and every [checkpoint_interval] visits within a level;
+     [checks] totals them for the EXPLAIN report. *)
+  let guarded = not (Deadline.is_none deadline) in
+  let interrupted = ref None in
+  let checks = ref 0 in
+  let poll () =
+    incr checks;
+    match Deadline.check deadline with Some _ as r -> interrupted := r | None -> ()
+  in
+  let stopping () = guarded && Option.is_some !interrupted in
+  (* the edges of [v'] in one direction whose label [mask] admits;
+     [key0 + lbl * m] is the transition key of such an edge *)
+  let scan (off : Csr.int_arr) (cells : Csr.int_arr) v' mask key0 =
+    let lo = off.{v'} and hi = off.{v' + 1} in
+    Csr.check_range cells lo hi;
+    for i = lo to hi - 1 do
+      let c = Bigarray.Array1.unsafe_get cells i in
+      let lbl = Csr.cell_label c in
+      if lbl >= Sys.int_size || (mask lsr lbl) land 1 <> 0 then push (key0 + (lbl * m)) (Csr.cell_node c)
+    done
+  in
+  let in_off = Csr.in_off csr and in_cells = Csr.in_cells csr in
+  let out_off = Csr.out_off csr and out_cells = Csr.out_cells csr in
+  let base_n = Csr.n_nodes csr in
+  let qmask = (1 lsl sh) - 1 in
+  (* overlay edges skip the masks: [push] probes the index for any label *)
+  let cur = ref 0 in
+  let on_in lbl v = push (!cur + (lbl * m)) v in
+  (* (v, qs) -l~-> (v', q') walks an edge v' -l-> v backwards *)
+  let on_out lbl v = push (inv + !cur + (lbl * m)) v in
+  let head = ref 0 and levels = ref [] in
+  if guarded then poll ();
+  while !head < !tail && not (stopping ()) do
+    incr level;
+    let hi = !tail in
+    levels := (hi - !head) :: !levels;
+    let since = ref 0 in
+    (* expand queue.(head): push the product-BFS predecessors of (v', q') *)
+    while !head < hi && not (stopping ()) do
+      (if guarded then begin
+         incr since;
+         if !since >= checkpoint_interval then begin
+           since := 0;
+           poll ()
+         end
+       end);
+      let idx = queue.(!head) in
+      let v' = idx lsr sh and q' = idx land qmask in
+      if v' < base_n then begin
+        scan in_off in_cells v' into.(q') q';
+        if two_way then scan out_off out_cells v' into.(m + q') (inv + q')
+      end;
+      (match overlay with
+      | Some view ->
+          cur := q';
+          Disk_csr.overlay_iter_in view v' on_in;
+          if two_way then Disk_csr.overlay_iter_out view v' on_out
+      | None -> ());
+      incr head
     done;
-    let stats =
-      {
-        visits = !head;
-        dedup = !dedup;
-        levels = List.rev !levels;
-        discovered = !tail;
-        cancel_checks = !checks;
-        interrupted = !interrupted;
-      }
-    in
-    (mem, dist, stats)
-end
-
-module Flat_kernel = Make_kernel (struct
-  type g = Csr.t
-
-  let iter_in = Csr.iter_in
-  let iter_out = Csr.iter_out
-end)
-
-(* Mapped base plus a non-empty overlay: the base's Csr range, then
-   the overlay's per-node adjacency. *)
-module View_kernel = Make_kernel (struct
-  type g = Disk_csr.view
-
-  let iter_in = Disk_csr.iter_in
-  let iter_out = Disk_csr.iter_out
-end)
+    if guarded then poll ()
+  done;
+  let selected = Array.make n false in
+  for v = 0 to n - 1 do
+    for i = 0 to Array.length starts - 1 do
+      if Bitset.mem mem ((v lsl sh) lor starts.(i)) then selected.(v) <- true
+    done
+  done;
+  (* the run spent O(n) on [selected]; filling its [n lsl sh] bits is
+     no more while [m <= 64] *)
+  Bitset.clear ~below:space mem;
+  Atomic.set pool (Some scratch);
+  let stats =
+    {
+      visits = !head;
+      dedup = !dedup;
+      levels = List.rev !levels;
+      discovered = !tail;
+      cancel_checks = !checks;
+      interrupted = !interrupted;
+    }
+  in
+  (selected, dist, stats)
 
 (* ------------------------------------------------------------------ *)
 (* Evaluation sources: which backing an evaluation runs against. *)
@@ -247,17 +273,16 @@ let plan_of_source source nfa =
       build_plan ~n:(Disk_csr.n_nodes view) ~n_labels:(Disk_csr.n_labels view)
         ~label_of_name:(Disk_csr.label_of_name view) nfa
 
-let run_on_source ~want_dist ~deadline ~targets plan = function
-  | Frozen (_, csr) -> Flat_kernel.run ~want_dist ~deadline ~targets plan csr
-  | Mapped view when Disk_csr.overlay_is_empty view ->
-      Flat_kernel.run ~want_dist ~deadline ~targets plan (Disk_csr.base view)
-  | Mapped view -> View_kernel.run ~want_dist ~deadline ~targets plan view
-
 (* Run the kernel and publish counters/span attributes — the shared tail
    of every public entry point. *)
 let kernel sp ~deadline ~want_dist ~targets source nfa =
   let plan = plan_of_source source nfa in
-  let mem, dist, stats = run_on_source ~want_dist ~deadline ~targets plan source in
+  let csr, overlay =
+    match source with
+    | Frozen (_, csr) -> (csr, None)
+    | Mapped view -> (Disk_csr.base view, if Disk_csr.overlay_is_empty view then None else Some view)
+  in
+  let selected, dist, stats = run_kernel ~want_dist ~deadline ~targets plan csr overlay in
   Counter.incr c_runs;
   Counter.add c_states (plan.n * plan.m);
   Counter.add c_visits stats.visits;
@@ -271,15 +296,7 @@ let kernel sp ~deadline ~want_dist ~targets source nfa =
   Trace.set_int sp "product_states" (plan.n * plan.m);
   Trace.set_int sp "frontier_visits" stats.visits;
   Trace.set_int sp "early_exit_hits" stats.dedup;
-  (plan, mem, dist, stats)
-
-let selected_of_mem plan mem =
-  let { n; m; starts; _ } = plan in
-  let selected = Array.make n false in
-  for v = 0 to n - 1 do
-    selected.(v) <- List.exists (fun q0 -> Bitset.mem mem ((v * m) + q0)) starts
-  done;
-  selected
+  (plan, selected, dist, stats)
 
 (* ------------------------------------------------------------------ *)
 (* the EXPLAIN report: everything one evaluation did, as data *)
@@ -450,8 +467,7 @@ let evaluate sp ~deadline ~targets source nfa =
     let n = source_nodes source in
     (Array.make n false, empty_report ~graph_nodes:n, None)
   else begin
-    let plan, mem, _, stats = kernel sp ~deadline ~want_dist:false ~targets source nfa in
-    let sel = selected_of_mem plan mem in
+    let plan, sel, _, stats = kernel sp ~deadline ~want_dist:false ~targets source nfa in
     (sel, report_of_stats plan ~selected:(count_selected sel) stats, stats.interrupted)
   end
 
@@ -500,9 +516,9 @@ let witness_lengths g q =
     let dist = Option.get dist in
     for v = 0 to n - 1 do
       let best =
-        List.fold_left
+        Array.fold_left
           (fun acc q0 ->
-            let d = dist.((v * m) + q0) in
+            let d = dist.((v lsl plan.sh) lor q0) in
             if d = -1 then acc else match acc with Some b when b <= d -> acc | _ -> Some d)
           None plan.starts
       in

@@ -17,15 +17,18 @@
 
     {!run} is the general entry point; {!select} is the same evaluation
     on a fresh snapshot, and the helpers below build on it. Every one
-    routes through one shared, cache-tight, sequential kernel: an
-    adjacency snapshot (a {!Gps_graph.Csr}, heap-frozen or the base of a
-    mapped file, or a mapped {!Gps_graph.Disk_csr} view with its
-    overlay), a flat CSR-style reverse transition index keyed by
-    [(label, state)] (no per-edge transition-list filtering), a
-    {!Gps_graph.Bitset} membership table (one bit per product state),
-    and int-encoded product states in a flat array queue. The BFS is level-synchronous,
-    so every report narrates its frontier level by level. Out-edges are
-    walked only when the query has an inverse symbol. *)
+    routes through one sequential kernel function that scans a
+    {!Gps_graph.Csr}'s packed cells inline (heap-frozen, or the base of
+    a mapped file, plus a mapped view's overlay edges when it has any).
+    Per edge it tests one bit of the popped state's label mask and, only
+    when some transition on that label enters the state, indexes a flat
+    reverse transition index keyed by [(label, state)]. Product state
+    [(v, q)] is the int [(v lsl sh) lor q] with [sh = ⌈log2 m⌉]; the
+    queue (one flat int array) and the {!Gps_graph.Bitset} membership
+    table are pooled across runs, so a run allocates little beyond its
+    answer. The BFS is level-synchronous, so every report narrates its
+    frontier level by level. Out-edges are walked only when the query
+    has an inverse symbol. *)
 
 val select : ?domains:int -> Gps_graph.Digraph.t -> Rpq.t -> bool array
 (** [select g q].(v) iff [q] selects node [v]: {!run} on a fresh
@@ -91,14 +94,11 @@ type interrupted = { reason : Gps_obs.Deadline.reason; partial : report }
 
 (** {2 Evaluation sources}
 
-    The kernel is a functor over a minimal in/out-edge iteration
-    interface, compiled twice. The flat instance runs over a
-    {!Gps_graph.Csr}: a [Frozen] snapshot, or the mapped base of a
-    [Mapped] view whose delta overlay is empty — one layout, so a mapped
-    file costs the same per edge as a heap graph: an offset probe and a
-    packed-cell read. The overlay instance serves the other [Mapped]
-    views: each node's base range is walked first and the overlay
-    adjacency appended. *)
+    Both sources are read through one {!Gps_graph.Csr} layout: a
+    [Frozen] snapshot, or the mapped base of a [Mapped] view, so a
+    mapped file costs the same per edge as a heap graph. A [Mapped]
+    view with a non-empty delta overlay also walks each popped node's
+    overlay edges. *)
 
 type source =
   | Frozen of Gps_graph.Digraph.t * Gps_graph.Csr.t

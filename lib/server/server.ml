@@ -242,17 +242,6 @@ let node_names g vs = List.sort compare (List.map (Digraph.node_name g) vs)
 let specialized (entry : Catalog.entry) q =
   Gps_query.Rewrite.specialize_known ~known:(Catalog.known_label entry) q
 
-(* The eval counters whose per-request deltas go on the wide event —
-   the cost attribution of a cache miss. Deltas are computed by
-   bracketing the evaluation; under concurrent misses a request's delta
-   can include a neighbor's work, which the audit field dictionary
-   documents (the totals still reconcile). *)
-let audited_eval_counters =
-  [
-    ("d_product_states", Counter.make "eval.product_states");
-    ("d_frontier_visits", Counter.make "eval.frontier_visits");
-  ]
-
 let ev_set_cache ev verdict =
   Option.iter (fun ev -> Wide_event.set_str ev "cache" verdict) ev
 
@@ -278,19 +267,14 @@ let evaluate_cached t (entry : Catalog.entry) ?ev ?(explain = false) ?(deadline 
   | None ->
       Trace.set_current_attr "cache" (Trace.String "miss");
       ev_set_cache ev "miss";
-      let eval_before =
-        match ev with
-        | None -> []
-        | Some _ -> List.map (fun (k, c) -> (k, Counter.value c)) audited_eval_counters
-      in
-      let stamp_eval_deltas () =
+      (* the cost attribution of a miss, from this evaluation's own
+         report: exact under concurrent misses, and summing to the
+         eval.product_states/frontier_visits counters *)
+      let stamp_eval_work (r : Gps_query.Eval.report) =
         Option.iter
           (fun ev ->
-            List.iter
-              (fun (k, c) ->
-                let before = Option.value ~default:0 (List.assoc_opt k eval_before) in
-                Wide_event.set_int ev k (Counter.value c - before))
-              audited_eval_counters)
+            Wide_event.set_int ev "d_product_states" r.product_states;
+            Wide_event.set_int ev "d_frontier_visits" r.frontier_visits)
           ev
       in
       (* one snapshot for the whole evaluation: heap entries hand over
@@ -304,6 +288,7 @@ let evaluate_cached t (entry : Catalog.entry) ?ev ?(explain = false) ?(deadline 
       let sel, report =
         match Gps_query.Eval.run ~deadline source q with
         | Ok (sel, r) ->
+            stamp_eval_work r;
             let report =
               if want_report then
                 let fields =
@@ -319,7 +304,7 @@ let evaluate_cached t (entry : Catalog.entry) ?ev ?(explain = false) ?(deadline 
             (* typed early-stop: the error carries the partial EXPLAIN
                report so the client sees how far the search got *)
             Counter.incr c_timeouts;
-            stamp_eval_deltas ();
+            stamp_eval_work partial;
             raise
               (Fail
                  {
@@ -331,7 +316,6 @@ let evaluate_cached t (entry : Catalog.entry) ?ev ?(explain = false) ?(deadline 
                    data = Some (Gps_query.Eval.report_to_json partial);
                  })
       in
-      stamp_eval_deltas ();
       (* encoded once, here: the cache keeps only these bytes, and every
          response that carries this answer splices them *)
       let nodes = P.Names.of_iter (Catalog.iter_selected entry source sel) in

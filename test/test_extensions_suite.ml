@@ -180,6 +180,203 @@ let qcheck_json_printer =
       Json.value_to_string v = reference_to_string v
       && Json.value_to_string ~pretty:true v = reference_to_string ~pretty:true v)
 
+(* The parser as it was before it stopped allocating per byte: an
+   option for every byte it peeks, a Buffer for every string. Kept as
+   the reference the parser must match, values and errors alike. *)
+module Reference_parser = struct
+  type cursor = { text : string; mutable pos : int }
+
+  let fail c msg = raise (Json.Parse_error (c.pos, msg))
+  let peek c = if c.pos < String.length c.text then Some c.text.[c.pos] else None
+  let advance c = c.pos <- c.pos + 1
+
+  let rec skip_ws c =
+    match peek c with
+    | Some (' ' | '\t' | '\n' | '\r') ->
+        advance c;
+        skip_ws c
+    | Some _ | None -> ()
+
+  let expect c ch =
+    match peek c with
+    | Some x when x = ch -> advance c
+    | Some x -> fail c (Printf.sprintf "expected %C, found %C" ch x)
+    | None -> fail c (Printf.sprintf "expected %C, found end of input" ch)
+
+  let parse_literal c word v =
+    let n = String.length word in
+    if c.pos + n <= String.length c.text && String.sub c.text c.pos n = word then begin
+      c.pos <- c.pos + n;
+      v
+    end
+    else fail c (Printf.sprintf "expected %s" word)
+
+  let parse_string_body c =
+    let buf = Buffer.create 16 in
+    let rec go () =
+      match peek c with
+      | None -> fail c "unterminated string"
+      | Some '"' -> advance c
+      | Some '\\' -> (
+          advance c;
+          match peek c with
+          | None -> fail c "unterminated escape"
+          | Some esc ->
+              advance c;
+              (match esc with
+              | '"' -> Buffer.add_char buf '"'
+              | '\\' -> Buffer.add_char buf '\\'
+              | '/' -> Buffer.add_char buf '/'
+              | 'b' -> Buffer.add_char buf '\b'
+              | 'f' -> Buffer.add_char buf '\012'
+              | 'n' -> Buffer.add_char buf '\n'
+              | 'r' -> Buffer.add_char buf '\r'
+              | 't' -> Buffer.add_char buf '\t'
+              | 'u' ->
+                  if c.pos + 4 > String.length c.text then fail c "truncated \\u escape";
+                  let hex = String.sub c.text c.pos 4 in
+                  let code =
+                    try int_of_string ("0x" ^ hex) with Failure _ -> fail c "bad \\u escape"
+                  in
+                  c.pos <- c.pos + 4;
+                  if code < 0x80 then Buffer.add_char buf (Char.chr code)
+                  else if code < 0x800 then begin
+                    Buffer.add_char buf (Char.chr (0xC0 lor (code lsr 6)));
+                    Buffer.add_char buf (Char.chr (0x80 lor (code land 0x3F)))
+                  end
+                  else begin
+                    Buffer.add_char buf (Char.chr (0xE0 lor (code lsr 12)));
+                    Buffer.add_char buf (Char.chr (0x80 lor ((code lsr 6) land 0x3F)));
+                    Buffer.add_char buf (Char.chr (0x80 lor (code land 0x3F)))
+                  end
+              | other -> fail c (Printf.sprintf "bad escape \\%c" other));
+              go ())
+      | Some ch ->
+          advance c;
+          Buffer.add_char buf ch;
+          go ()
+    in
+    go ();
+    Buffer.contents buf
+
+  let parse_number c =
+    let start = c.pos in
+    let is_num_char ch =
+      (ch >= '0' && ch <= '9') || ch = '-' || ch = '+' || ch = '.' || ch = 'e' || ch = 'E'
+    in
+    while (match peek c with Some ch -> is_num_char ch | None -> false) do
+      advance c
+    done;
+    let s = String.sub c.text start (c.pos - start) in
+    match float_of_string_opt s with
+    | Some f -> Json.Number f
+    | None -> fail c (Printf.sprintf "bad number %S" s)
+
+  let rec parse_value c =
+    skip_ws c;
+    match peek c with
+    | None -> fail c "unexpected end of input"
+    | Some '"' ->
+        advance c;
+        Json.String (parse_string_body c)
+    | Some '{' ->
+        advance c;
+        parse_object c []
+    | Some '[' ->
+        advance c;
+        parse_array c []
+    | Some 't' -> parse_literal c "true" (Json.Bool true)
+    | Some 'f' -> parse_literal c "false" (Json.Bool false)
+    | Some 'n' -> parse_literal c "null" Json.Null
+    | Some ('-' | '0' .. '9') -> parse_number c
+    | Some ch -> fail c (Printf.sprintf "unexpected %C" ch)
+
+  and parse_object c acc =
+    skip_ws c;
+    match peek c with
+    | Some '}' ->
+        advance c;
+        Json.Object (List.rev acc)
+    | _ -> (
+        skip_ws c;
+        expect c '"';
+        let key = parse_string_body c in
+        skip_ws c;
+        expect c ':';
+        let v = parse_value c in
+        skip_ws c;
+        match peek c with
+        | Some ',' ->
+            advance c;
+            skip_ws c;
+            if peek c = Some '}' then fail c "trailing comma in object"
+            else parse_object c ((key, v) :: acc)
+        | Some '}' ->
+            advance c;
+            Json.Object (List.rev ((key, v) :: acc))
+        | _ -> fail c "expected ',' or '}'")
+
+  and parse_array c acc =
+    skip_ws c;
+    match peek c with
+    | Some ']' ->
+        advance c;
+        Json.Array (List.rev acc)
+    | _ -> (
+        let v = parse_value c in
+        skip_ws c;
+        match peek c with
+        | Some ',' ->
+            advance c;
+            skip_ws c;
+            if peek c = Some ']' then fail c "trailing comma in array" else parse_array c (v :: acc)
+        | Some ']' ->
+            advance c;
+            Json.Array (List.rev (v :: acc))
+        | _ -> fail c "expected ',' or ']'")
+
+  let value_of_string text =
+    let c = { text; pos = 0 } in
+    let v = parse_value c in
+    skip_ws c;
+    (match peek c with None -> () | Some _ -> fail c "trailing input");
+    v
+end
+
+(* A printed document, then maybe cut short or with one byte replaced,
+   inserted or deleted: every outcome the parser can reach. *)
+let gen_json_input =
+  QCheck.Gen.(
+    let* v = gen_json_value in
+    let* pretty = bool in
+    let text = Json.value_to_string ~pretty v in
+    let n = String.length text in
+    let* i = int_bound n in
+    let* byte = char in
+    let* escape = oneofl [ "\\"; "\\u"; "\\u00"; "\\uZZZZ"; "\\q"; "\""; ","; "}"; "]" ] in
+    oneof
+      [
+        return text;
+        return (String.sub text 0 i);
+        return (String.sub text 0 i ^ String.make 1 byte ^ String.sub text i (n - i));
+        return (String.sub text 0 i ^ escape ^ String.sub text i (n - i));
+        (if i < n then
+           return (String.sub text 0 i ^ String.make 1 byte ^ String.sub text (i + 1) (n - i - 1))
+         else return text);
+        (if i < n then return (String.sub text 0 i ^ String.sub text (i + 1) (n - i - 1))
+         else return text);
+      ])
+
+let qcheck_json_parser =
+  QCheck.Test.make ~name:"json: parser = reference parser, values and errors" ~count:2000
+    (QCheck.make ~print:(Printf.sprintf "%S") gen_json_input)
+    (fun text ->
+      let outcome parse =
+        match parse text with v -> Ok v | exception Json.Parse_error (pos, msg) -> Error (pos, msg)
+      in
+      (* [compare], not [=]: a NaN number must equal itself *)
+      compare (outcome Json.value_of_string) (outcome Reference_parser.value_of_string) = 0)
+
 let test_json_isolated_nodes () =
   let g = Json.of_string {| {"nodes": ["lonely"], "edges": [{"src":"a","label":"x","dst":"b"}]} |} in
   check_int "three nodes" 3 (Digraph.n_nodes g);
@@ -564,6 +761,7 @@ let suite =
         t "errors" test_json_errors;
         t "isolated nodes" test_json_isolated_nodes;
         QCheck_alcotest.to_alcotest qcheck_json_printer;
+        QCheck_alcotest.to_alcotest qcheck_json_parser;
       ] );
     ( "ext.edit",
       [

@@ -61,6 +61,10 @@ let test_bitset_word_boundaries () =
   for i = 0 to n - 1 do
     check ("mem " ^ string_of_int i) (List.mem i edges) (Bitset.mem b i)
   done;
+  (* below 60: the bytes of bits 0-63, so 63 goes and 64 stays *)
+  Bitset.clear ~below:60 b;
+  check "63 cleared" false (Bitset.mem b 63);
+  check "64 kept" true (Bitset.mem b 64);
   Bitset.clear b;
   check_int "clear empties" 0 (Bitset.cardinal b);
   check "cleared bit" false (Bitset.mem b 32)

@@ -493,6 +493,99 @@ let test_prom_compat () =
   check Alcotest.int "no duplicate TYPE lines" (List.length type_lines)
     (List.length (List.sort_uniq compare type_lines))
 
+(* Four threads send distinct cache misses through one server with an
+   audit sink. Each audit line's [d_product_states]/[d_frontier_visits]
+   must be its own evaluation's work (the query's report when run
+   alone), and the lines must sum to the global counters' delta: no
+   request absorbs a neighbor's work. The graph is sized so that a
+   request spans several scheduler ticks' worth of kernel time in all,
+   so the threads interleave inside evaluations. *)
+let test_concurrent_eval_accounting () =
+  let module Rpq = Gps_query.Rpq in
+  let module Eval = Gps_query.Eval in
+  let labels = [ "a"; "b"; "c"; "d" ] in
+  let g0 = Gps_graph.Generators.uniform ~nodes:6000 ~edges:18000 ~labels ~seed:3 in
+  let text = Gps_graph.Codec.to_string g0 in
+  let g = Gps_graph.Codec.of_string text in
+  let known l = Gps_graph.Digraph.label_of_name g l <> None in
+  let normalized q = Rpq.to_string (Gps_query.Rewrite.specialize_known ~known q) in
+  (* distinct cache keys, drawn round-robin over the PathForge shapes *)
+  let by_key = Hashtbl.create 64 in
+  let texts = ref [] in
+  List.iter
+    (fun p ->
+      List.iter
+        (fun (a, b, c) ->
+          let t =
+            Gps_regex.Regex.to_string (Gps_workload.Pattern.instantiate p ~a ~b ~c)
+          in
+          let key = normalized (Rpq.of_string_exn t) in
+          if (not (Hashtbl.mem by_key key)) && List.length !texts < 48 then begin
+            Hashtbl.add by_key key t;
+            texts := t :: !texts
+          end)
+        [ ("a", "b", "c"); ("b", "c", "d"); ("d", "a", "b") ])
+    Gps_workload.Pattern.all;
+  let texts = Array.of_list (List.rev !texts) in
+  let path = Filename.temp_file "gps_audit_eval" ".jsonl" in
+  let oc = open_out path in
+  Fun.protect ~finally:(fun () -> close_out_noerr oc; Sys.remove path) @@ fun () ->
+  let sink = Wide_event.sink oc in
+  let server = Srv.create ~config:{ Srv.default_config with Srv.audit = Some sink } () in
+  (match Srv.handle server (P.Load { name = "u"; source = P.Text text }) with
+  | P.Loaded _ -> ()
+  | _ -> Alcotest.fail "load failed");
+  let states = Counter.make "eval.product_states" and visits = Counter.make "eval.frontier_visits" in
+  let states0 = Counter.value states and visits0 = Counter.value visits in
+  let threads = 4 in
+  let worker k =
+    Array.iteri
+      (fun i t ->
+        if i mod threads = k then
+          ignore
+            (Srv.handle_line server
+               (P.request_to_string
+                  (P.Query { graph = "u"; query = t; explain = false; deadline_ms = None }))))
+      texts
+  in
+  List.iter Thread.join (List.init threads (fun k -> Thread.create worker k));
+  let d_states = Counter.value states - states0 and d_visits = Counter.value visits - visits0 in
+  Wide_event.flush_sink sink;
+  let events, malformed = In_channel.with_open_bin path Wide_event.load_jsonl in
+  check Alcotest.int "no malformed lines" 0 malformed;
+  check Alcotest.int "one line per request" (Array.length texts) (List.length events);
+  let field name ev =
+    match Json.member name ev with
+    | Some (Json.Number f) -> int_of_float f
+    | _ -> Alcotest.failf "audit line without %s" name
+  in
+  let source = Eval.Frozen (g, Gps_graph.Csr.freeze g) in
+  let sum_states = ref 0 and sum_visits = ref 0 in
+  List.iter
+    (fun ev ->
+      let key = match Json.member "query" ev with Some (Json.String q) -> q | _ -> "" in
+      let original =
+        match Hashtbl.find_opt by_key key with
+        | Some t -> t
+        | None -> Alcotest.failf "audit line for an unsent query %S" key
+      in
+      let alone =
+        match Eval.run source (Rpq.of_string_exn original) with
+        | Ok (_, r) -> r
+        | Error _ -> Alcotest.fail "no deadline, no interruption"
+      in
+      check Alcotest.string "a miss" "miss"
+        (match Json.member "cache" ev with Some (Json.String c) -> c | _ -> "");
+      check Alcotest.int (key ^ ": product states") alone.Eval.product_states
+        (field "d_product_states" ev);
+      check Alcotest.int (key ^ ": frontier visits") alone.Eval.frontier_visits
+        (field "d_frontier_visits" ev);
+      sum_states := !sum_states + field "d_product_states" ev;
+      sum_visits := !sum_visits + field "d_frontier_visits" ev)
+    events;
+  check Alcotest.int "lines sum to the product-states delta" d_states !sum_states;
+  check Alcotest.int "lines sum to the frontier-visits delta" d_visits !sum_visits
+
 (* ------------------------------------------------------------------ *)
 
 let suite =
@@ -524,6 +617,8 @@ let suite =
         Alcotest.test_case "endpoint window" `Quick test_endpoint_window;
         Alcotest.test_case "protocol roundtrip" `Quick test_protocol_roundtrip;
         Alcotest.test_case "prometheus compat families" `Quick test_prom_compat;
+        Alcotest.test_case "exact per-request eval work under concurrent misses" `Quick
+          test_concurrent_eval_accounting;
       ] );
     ( "introspection.properties",
       List.map QCheck_alcotest.to_alcotest

@@ -5,6 +5,7 @@
 
 module Digraph = Gps_graph.Digraph
 module Disk = Gps_graph.Disk_csr
+module Csr = Gps_graph.Csr
 module Store = Gps_graph.Store
 module Generators = Gps_graph.Generators
 module Eval = Gps_query.Eval
@@ -49,9 +50,15 @@ let heap_adj g dir v =
 
 let disk_adj view dir v =
   let acc = ref [] in
+  let add l w = acc := (Disk.label_name view l, Disk.node_name view w) :: !acc in
+  let base = Disk.base view in
   (match dir with
-  | `Out -> Disk.iter_out view v (fun l w -> acc := (Disk.label_name view l, Disk.node_name view w) :: !acc)
-  | `In -> Disk.iter_in view v (fun l w -> acc := (Disk.label_name view l, Disk.node_name view w) :: !acc));
+  | `Out ->
+      if v < Csr.n_nodes base then Csr.iter_out base v add;
+      Disk.overlay_iter_out view v add
+  | `In ->
+      if v < Csr.n_nodes base then Csr.iter_in base v add;
+      Disk.overlay_iter_in view v add);
   List.sort compare !acc
 
 let check_graph_equals g view =

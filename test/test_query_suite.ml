@@ -75,6 +75,68 @@ let test_selection_monotone_under_union () =
   let s2 = Eval.select g (q "tram.cinema+bus.cinema") in
   Array.iteri (fun i b -> if b then check "monotone" true s2.(i)) s1
 
+(* The kernel reads a snapshot's cells behind one range check per
+   node; a run that trips it raises, and must not leave the next run a
+   dirty scratch table. *)
+let test_corrupt_offsets_then_good_run () =
+  let g = Datasets.figure1 () in
+  let good = Csr.freeze g in
+  let copy a =
+    let b = Bigarray.Array1.create Bigarray.int Bigarray.c_layout (Bigarray.Array1.dim a) in
+    Bigarray.Array1.blit a b;
+    b
+  in
+  let in_off = copy (Csr.in_off good) in
+  (* an interior offset past the cells: node 2's range ends beyond them *)
+  in_off.{3} <- Csr.n_edges good + 5;
+  let bad =
+    Csr.of_arrays ~n_labels:(Csr.n_labels good) ~out_off:(copy (Csr.out_off good)) ~in_off
+      ~out_cells:(copy (Csr.out_cells good)) ~in_cells:(copy (Csr.in_cells good))
+  in
+  let query = q "(tram+bus)*.cinema" in
+  Alcotest.check_raises "corrupt offsets raise" (Invalid_argument "Csr: offsets out of range")
+    (fun () -> ignore (Eval.run (Eval.Frozen (g, bad)) query));
+  match Eval.run (Eval.Frozen (g, good)) query with
+  | Ok (sel, _) ->
+      Alcotest.(check (list string)) "the next run answers" Datasets.figure1_expected
+        (List.sort compare
+           (List.filter_map
+              (fun v -> if sel.(v) then Some (Digraph.node_name g v) else None)
+              (Digraph.nodes g)))
+  | Error _ -> Alcotest.fail "no deadline, no interruption"
+
+(* Four threads share the kernel's scratch slot while they evaluate on
+   graphs of four sizes: every answer equals the sequential one. *)
+let test_concurrent_runs () =
+  let graphs =
+    List.map
+      (fun nodes ->
+        let g = Generators.uniform ~nodes ~edges:(3 * nodes) ~labels:[ "a"; "b"; "c" ] ~seed:nodes in
+        Eval.Frozen (g, Csr.freeze g))
+      [ 300; 1500; 6000; 12_000 ]
+  in
+  let queries =
+    List.map q [ "(a+b)*.c"; "a.b*.c~"; "(a.b)*"; "c*.a.a"; "b~.(a+c)*"; "a+b.c" ]
+  in
+  let selection src query =
+    match Eval.run src query with Ok (sel, _) -> sel | Error _ -> Alcotest.fail "no deadline"
+  in
+  let work = List.concat_map (fun src -> List.map (fun query -> (src, query)) queries) graphs in
+  let expected = List.map (fun (src, query) -> selection src query) work in
+  let n = List.length work in
+  let pairs = Array.of_list (List.combine work expected) in
+  let mismatches = Atomic.make 0 in
+  let worker k =
+    for round = 0 to 2 do
+      for i = 0 to n - 1 do
+        let (src, query), want = pairs.((i + (k * n / 4) + round) mod n) in
+        if selection src query <> want then Atomic.incr mismatches
+      done
+    done
+  in
+  List.iter Thread.join (List.init 4 (fun k -> Thread.create worker k));
+  check_int "concurrent = sequential" 0 (Atomic.get mismatches)
+
 (* -------------------------------------------------------------------- *)
 (* Witness *)
 
@@ -334,13 +396,29 @@ let qcheck_tests =
       frequency [ (3, random); (1, pattern) ])
   in
   let arb_starred = make ~print:Gps_regex.Regex.to_string gen_regex_starred in
+  (* the same graph over 65 labels: 62 fillers first, so a, b and c
+     get ids 62, 63 and 64 — past what the kernel's per-state label
+     masks hold — and every edge gains a filler twin no query reads *)
+  let widen g =
+    let w = Digraph.create () in
+    List.iter (fun i -> ignore (Digraph.intern_label w (Printf.sprintf "f%d" i))) (List.init 62 Fun.id);
+    Digraph.iter_nodes (fun v -> ignore (Digraph.add_node w (Digraph.node_name g v))) g;
+    List.iteri
+      (fun i (e : Digraph.edge) ->
+        Digraph.add_edge w ~src:e.src ~label:(Digraph.label_name g e.lbl) ~dst:e.dst;
+        Digraph.add_edge w ~src:e.dst ~label:(Printf.sprintf "f%d" (i mod 62)) ~dst:e.src)
+      (Digraph.edges g);
+    w
+  in
   let arb_case =
     make
       Gen.(
         let* n = int_range 1 12 in
         let* m = int_range 0 30 in
         let* seed = int_range 0 10_000 in
+        let* wide = map (fun k -> k = 0) (int_bound 3) in
         let g = Generators.uniform ~nodes:n ~edges:m ~labels:[ "a"; "b"; "c" ] ~seed in
+        let g = if wide then widen g else g in
         (* the conjunctive seed set *)
         let* targets = array_repeat n bool in
         (* an insertion batch: edges by name, possibly to a node and
@@ -581,6 +659,8 @@ let suite =
         t "empty selects nothing" test_empty_selects_nothing;
         t "cycle star" test_cycle_star;
         t "monotone under union" test_selection_monotone_under_union;
+        t "corrupt offsets raise, then the next run answers" test_corrupt_offsets_then_good_run;
+        t "concurrent runs = sequential runs" test_concurrent_runs;
       ] );
     ( "query.witness",
       [

@@ -154,11 +154,20 @@ let test_eval_pre_cancelled () =
 
 let test_eval_pre_expired () =
   let g = Datasets.figure1 () in
-  match Eval.run ~deadline:(D.after_ms 0.0) (frozen g) (q "(tram+bus)*.cinema") with
+  (match Eval.run ~deadline:(D.after_ms 0.0) (frozen g) (q "(tram+bus)*.cinema") with
   | Ok _ -> Alcotest.fail "pre-expired deadline must interrupt"
   | Error { Eval.reason; partial } ->
       check "reason is Timed_out" true (reason = D.Timed_out);
-      check "partial stop is Timed_out" true (partial.Eval.stop = Eval.Timed_out)
+      check "partial stop is Timed_out" true (partial.Eval.stop = Eval.Timed_out));
+  (* the interrupted run seeded its table; the next run starts clean *)
+  match Eval.run (frozen g) (q "(tram+bus)*.cinema") with
+  | Ok (sel, _) ->
+      Alcotest.(check (list string)) "a full run after it answers" Datasets.figure1_expected
+        (List.sort compare
+           (List.filter_map
+              (fun v -> if sel.(v) then Some (Digraph.node_name g v) else None)
+              (Digraph.nodes g)))
+  | Error _ -> Alcotest.fail "no deadline, no interruption"
 
 (* a deadline orders-of-magnitude under the work's cost terminates the
    evaluation promptly instead of running to completion *)
