@@ -33,6 +33,14 @@ let test_and_set t i =
 
 let clear ?(below = max_int) t = Bytes.fill t.bits 0 ((min below t.length + 7) lsr 3) '\000'
 
+let extend t n =
+  if n <= t.length then t
+  else begin
+    let grown = create n in
+    Bytes.blit t.bits 0 grown.bits 0 (Bytes.length t.bits);
+    grown
+  end
+
 (* 8-bit popcount table: cardinal is a byte-table walk, not a per-bit loop. *)
 let popcount8 =
   Array.init 256 (fun b ->

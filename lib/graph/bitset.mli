@@ -31,5 +31,9 @@ val clear : ?below:int -> t -> unit
 (** Reset to 0 every bit below [below] (default: all), and any other
     bit in the same bytes; the backing store is reused. *)
 
+val extend : t -> int -> t
+(** [extend b n] is [b] when it already spans [n] indices, else a copy
+    of [b] over [0 .. n-1] (the new indices empty). *)
+
 val cardinal : t -> int
 (** Number of set bits. *)

@@ -16,6 +16,7 @@ let node_bits = 40
 let node_mask = (1 lsl node_bits) - 1
 let max_nodes = node_mask
 let max_labels = 1 lsl (62 - node_bits)
+let cell label node = (label lsl node_bits) lor node
 
 let of_arrays ~n_labels ~out_off ~in_off ~out_cells ~in_cells =
   let dim = Bigarray.Array1.dim in
@@ -70,11 +71,11 @@ let fill ~n_labels ~out_off ~in_off ~out_cells ~in_cells iter_edges =
       let o = out_off.{src} in
       out_off.{src} <- o + 1;
       if o >= m then invalid_arg "Csr.fill: pass 2 stream disagrees with pass 1";
-      out_cells.{o} <- (label lsl node_bits) lor dst;
+      out_cells.{o} <- cell label dst;
       let i = in_off.{dst} in
       in_off.{dst} <- i + 1;
       if i >= m then invalid_arg "Csr.fill: pass 2 stream disagrees with pass 1";
-      in_cells.{i} <- (label lsl node_bits) lor src);
+      in_cells.{i} <- cell label src);
   if !seen <> m then invalid_arg "Csr.fill: pass 2 stream shorter than pass 1";
   if !hash2 <> !hash1 then invalid_arg "Csr.fill: pass 2 stream disagrees with pass 1";
   for v = n downto 1 do

@@ -68,6 +68,9 @@ val out_off : t -> int_arr
 val in_off : t -> int_arr
 val out_cells : t -> int_arr
 val in_cells : t -> int_arr
+val cell : Digraph.label -> Digraph.node -> int
+(** The packed cell [(label lsl 40) lor node]. *)
+
 val cell_label : int -> Digraph.label
 val cell_node : int -> Digraph.node
 

@@ -37,11 +37,31 @@
     {2 Delta overlay}
 
     A mapped file is immutable; streamed ingest ([{"op":"add_edges"}])
-    lands in an immutable in-heap overlay (persistent maps keyed by
-    node) swapped atomically, so readers take a lock-free {!snapshot}
-    while one writer at a time extends it. New node and label names
-    intern past the base ids. Edge set semantics match {!Digraph}:
-    re-adding a triple (base or overlay) is a no-op. *)
+    lands in an immutable in-heap overlay swapped atomically, so readers
+    take a lock-free {!snapshot} while one writer at a time extends it.
+    The overlay holds each node's extra edges as {!Csr}-style packed
+    cells, plus an append-only log of every overlay edge in insertion
+    order (two ints per edge), shared by all snapshots: a log position
+    is an overlay edge count, and a view at position [p] holds the first
+    [p] logged edges. New node and label names intern past the base ids.
+    Edge set semantics match {!Digraph}: re-adding a triple (base or
+    overlay) is a no-op, found by scanning the source's base and overlay
+    cells.
+
+    The first write sorts the base node ids by their mapped name bytes
+    (in place, no per-name string) into one permutation that every later
+    snapshot carries: writers look names up by binary search in it, and
+    {!selected_names} walks it instead of sorting. A file that is never
+    written never builds it.
+
+    {2 Live evaluations}
+
+    Each mapped graph also keeps a small table of live evaluations —
+    product-membership bits keyed by an automaton, with the node count
+    and log position they are closed over — so that an evaluation can
+    continue from the edges logged since instead of starting over.
+    This module only stores the bits; {!Gps_query.Eval} owns what they
+    mean. *)
 
 (** {1 Opening} *)
 
@@ -138,6 +158,43 @@ val overlay_iter_out : view -> int -> (int -> int -> unit) -> unit
 val base : view -> Csr.t
 (** The mapped base file's adjacency (overlay excluded), read in place.
     Equal, cell for cell, to [Csr.freeze] of the graph that was packed. *)
+
+val iter_log : view -> from:int -> (int -> int -> int -> unit) -> unit
+(** [iter_log v ~from f] calls [f src label dst] on the overlay edges at
+    log positions [from] to [view_overlay_edges v - 1], in the order
+    they were added. @raise Invalid_argument unless
+    [0 <= from <= view_overlay_edges v]. *)
+
+val selected_names : view -> bool array -> string list
+(** The names of the nodes the selection marks, in [String.compare]
+    order. A written graph walks its name permutation and merges in the
+    overlay's names; a never-written one sorts the selected names.
+    @raise Invalid_argument when the array's length is not {!n_nodes}. *)
+
+(** {1 Live evaluations} *)
+
+type live = {
+  bits : Bitset.t;
+  nodes : int;  (** the node count the bits are closed over *)
+  at : int;  (** the log position they are closed over *)
+  set : int;  (** how many bits are set *)
+}
+
+val take_live : view -> string -> live option
+(** Remove and return the entry under the key, if it exists and is not
+    newer than the view ([at <= view_overlay_edges v]). The caller holds
+    it exclusively: a concurrent [take_live] on the key finds nothing.
+    An entry newer than the view stays in the table. *)
+
+val put_live : view -> string -> live -> unit
+(** Record the entry under the key, most recently used first. Nothing is
+    recorded from a view whose overlay is empty, over an entry newer
+    than this one, or past the caps; the least recently put entries are
+    evicted to keep the table within both. *)
+
+val live_max_entries : int
+val live_max_bytes : int
+(** The table's fixed caps per mapped graph: 64 entries, 16 MiB of bits. *)
 
 (** {1 Packing} *)
 

@@ -1,11 +1,14 @@
 (** Incremental RPQ evaluation under edge insertions.
 
     {!Digraph} is append-only, which makes selection {e monotone}: adding
-    an edge can only select more nodes, never fewer. This module keeps the
-    backward-reachability table of {!Eval} alive and, on each insertion,
-    reseeds the BFS from just the product states the new edge enables —
-    typically touching a small fraction of the product instead of
-    recomputing it (the [--exp incremental] benchmark quantifies this).
+    an edge can only select more nodes, never fewer. This module freezes
+    the graph once, keeps the membership of one {!Eval} run alive and, on
+    each insertion, hands the edges added since the freeze and the new
+    edge to the kernel's seeded start ({!Eval.resume}), which continues
+    the backward search from just the product states the new edge
+    enables — typically touching a small fraction of the product instead
+    of recomputing it (the [--exp incremental] benchmark quantifies
+    this). There is no second product loop here.
 
     Inverse symbols ([l~]) are followed as {!Eval} follows them, so the
     table agrees with a from-scratch evaluation on two-way queries too.
@@ -24,8 +27,10 @@ val create : Gps_graph.Digraph.t -> Rpq.t -> t
 
 val add_edge : t -> src:Gps_graph.Digraph.node -> label:string -> dst:Gps_graph.Digraph.node -> unit
 (** Record that [src -label-> dst] was just added to the graph (after the
-    [Digraph.add_edge] call) and propagate its consequences. Unknown
-    labels (no transition in the query) cost O(1). *)
+    [Digraph.add_edge] call) and propagate its consequences: one seeded
+    kernel run, whose fixed cost is the query's plan plus the nodes added
+    since the previous call. @raise Invalid_argument when the graph does
+    not know [label] (the edge was not added). *)
 
 val selected : t -> Gps_graph.Digraph.node -> bool
 val select : t -> bool array

@@ -83,12 +83,8 @@ let iter_selected e source sel =
   | Heap { graph; order; _ }, _ ->
       fun f -> Array.iter (fun v -> if sel.(v) then f (Digraph.node_name graph v)) order
   | File _, Gps_query.Eval.Mapped v ->
-      let names = ref [] in
-      for i = Disk_csr.n_nodes v - 1 downto 0 do
-        if sel.(i) then names := Disk_csr.node_name v i :: !names
-      done;
-      let sorted = List.sort String.compare !names in
-      fun f -> List.iter f sorted
+      let names = Disk_csr.selected_names v sel in
+      fun f -> List.iter f names
   | File _, Gps_query.Eval.Frozen _ -> invalid_arg "Catalog.iter_selected: not this entry's source"
 
 let n_nodes e =

@@ -80,9 +80,9 @@ val iter_selected :
 (** [iter_selected e source sel] iterates the names of the nodes [sel]
     marks in [String.compare] order, where [source] is the {!eval_source}
     snapshot [sel] was computed on. A heap entry walks its name order; a
-    file entry sorts the selected names once, when given [sel], so the
-    resulting iterator can run twice (as {!Protocol.Names.of_iter}
-    does) for one sort. *)
+    file entry collects {!Gps_graph.Disk_csr.selected_names} once, when
+    given [sel], so the resulting iterator can run twice (as
+    {!Protocol.Names.of_iter} does) for one walk or sort. *)
 
 val n_nodes : entry -> int
 val n_edges : entry -> int

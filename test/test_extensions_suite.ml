@@ -44,9 +44,15 @@ let test_json_values () =
   check "pretty roundtrip" true (pretty = v)
 
 let test_json_unicode_escape () =
-  match Json.value_of_string {| "é€" |} with
-  | Json.String s -> Alcotest.(check string) "utf-8 encoded" "\xc3\xa9\xe2\x82\xac" s
-  | _ -> Alcotest.fail "expected a string"
+  let decodes text want =
+    match Json.value_of_string text with
+    | Json.String s -> Alcotest.(check string) text want s
+    | _ -> Alcotest.fail "expected a string"
+  in
+  decodes {| "\u00e9\u20AC" |} "\xc3\xa9\xe2\x82\xac";
+  (* a surrogate pair, as Python's json.dumps writes U+1F600 *)
+  decodes {| "\ud83d\ude00" |} "\xf0\x9f\x98\x80";
+  decodes {| "a\uD83D\uDE00b" |} "a\xf0\x9f\x98\x80b"
 
 let test_json_errors () =
   let fails s =
@@ -60,6 +66,16 @@ let test_json_errors () =
   fails "nul";
   fails "\"unterminated";
   fails "1 2";
+  (* \u takes exactly four hex digits *)
+  fails {|"\u00_A"|};
+  fails {|"\u0_0A"|};
+  fails {|"\u+0AB"|};
+  (* a lone surrogate has no UTF-8 encoding *)
+  fails {|"\ud83d"|};
+  fails {|"\ud83dx"|};
+  fails {|"\ud83d\n"|};
+  fails {|"\ud83d\u0041"|};
+  fails {|"\ude00"|};
   (* shape errors for graphs *)
   match Json.of_string {| {"nodes": []} |} with
   | exception Json.Parse_error _ -> ()
@@ -233,19 +249,47 @@ module Reference_parser = struct
               | 'r' -> Buffer.add_char buf '\r'
               | 't' -> Buffer.add_char buf '\t'
               | 'u' ->
-                  if c.pos + 4 > String.length c.text then fail c "truncated \\u escape";
-                  let hex = String.sub c.text c.pos 4 in
-                  let code =
-                    try int_of_string ("0x" ^ hex) with Failure _ -> fail c "bad \\u escape"
+                  (* exactly four hex digits; a surrogate pair is one
+                     code point, a lone surrogate an error *)
+                  let hex4 () =
+                    if c.pos + 4 > String.length c.text then fail c "truncated \\u escape";
+                    let hex = String.sub c.text c.pos 4 in
+                    if not (String.for_all (function '0' .. '9' | 'a' .. 'f' | 'A' .. 'F' -> true | _ -> false) hex)
+                    then fail c "bad \\u escape";
+                    c.pos <- c.pos + 4;
+                    int_of_string ("0x" ^ hex)
                   in
-                  c.pos <- c.pos + 4;
+                  let lone () = fail c "lone surrogate in \\u escape" in
+                  let code = hex4 () in
+                  let code =
+                    if code >= 0xDC00 && code <= 0xDFFF then lone ()
+                    else if code >= 0xD800 && code <= 0xDBFF then begin
+                      if peek c <> Some '\\' then lone ();
+                      advance c;
+                      if peek c <> Some 'u' then begin
+                        c.pos <- c.pos - 1;
+                        lone ()
+                      end;
+                      advance c;
+                      let low = hex4 () in
+                      if low < 0xDC00 || low > 0xDFFF then lone ();
+                      0x10000 + ((code - 0xD800) lsl 10) + (low - 0xDC00)
+                    end
+                    else code
+                  in
                   if code < 0x80 then Buffer.add_char buf (Char.chr code)
                   else if code < 0x800 then begin
                     Buffer.add_char buf (Char.chr (0xC0 lor (code lsr 6)));
                     Buffer.add_char buf (Char.chr (0x80 lor (code land 0x3F)))
                   end
-                  else begin
+                  else if code < 0x10000 then begin
                     Buffer.add_char buf (Char.chr (0xE0 lor (code lsr 12)));
+                    Buffer.add_char buf (Char.chr (0x80 lor ((code lsr 6) land 0x3F)));
+                    Buffer.add_char buf (Char.chr (0x80 lor (code land 0x3F)))
+                  end
+                  else begin
+                    Buffer.add_char buf (Char.chr (0xF0 lor (code lsr 18)));
+                    Buffer.add_char buf (Char.chr (0x80 lor ((code lsr 12) land 0x3F)));
                     Buffer.add_char buf (Char.chr (0x80 lor ((code lsr 6) land 0x3F)));
                     Buffer.add_char buf (Char.chr (0x80 lor (code land 0x3F)))
                   end

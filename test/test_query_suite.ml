@@ -491,18 +491,46 @@ let qcheck_tests =
                (fun v -> if sel.(v) then Some (node_name v) else None)
                (List.init (Array.length sel) Fun.id))
         in
-        (* the batch applied to a heap copy: the reference after it *)
+        (* the batch in two stages, applied to a heap copy: the reference
+           after each. On the packed graph the first stage's run records
+           the automaton's live entry and the second resumes it; the
+           first stage's view, evaluated again after the entry advanced,
+           must still get its own answer. *)
+        let half = max 1 (List.length batch / 2) in
+        let stages = [ List.filteri (fun i _ -> i < half) batch; List.filteri (fun i _ -> i >= half) batch ] in
         let g' = Digraph.copy g in
-        List.iter (fun (src, lbl, dst) -> Digraph.link g' src lbl dst) batch;
-        let expected' = Array.map Option.is_some (reference_lengths g' r) in
+        let expected_after =
+          List.map
+            (fun stage ->
+              List.iter (fun (src, lbl, dst) -> Digraph.link g' src lbl dst) stage;
+              names (Digraph.node_name g') (Array.map Option.is_some (reference_lengths g' r)))
+            stages
+        in
         let packed_ok =
           with_packed g (fun packed ->
               let base = selection (Eval.run (Mapped (Disk_csr.snapshot packed)) query) in
-              ignore (Disk_csr.add_edges packed batch);
-              let view = Disk_csr.snapshot packed in
+              let eval_view view =
+                match Eval.run (Mapped view) query with
+                | Ok (sel, report) -> Some (names (Disk_csr.node_name view) sel, report.Eval.resumed)
+                | Error _ -> None
+              in
+              let runs =
+                List.map
+                  (fun stage ->
+                    ignore (Disk_csr.add_edges packed stage);
+                    let view = Disk_csr.snapshot packed in
+                    (view, eval_view view))
+                  stages
+              in
+              let first_view = fst (List.hd runs) in
               base = Some expected
-              && Option.map (names (Disk_csr.node_name view)) (selection (Eval.run (Mapped view) query))
-                 = Some (names (Digraph.node_name g') expected'))
+              && List.for_all2
+                   (fun (_, run) want -> Option.map fst run = Some want)
+                   runs expected_after
+              (* once a stage has recorded an entry, the next one resumes it *)
+              && ((Disk_csr.overlay_is_empty first_view || Gps_automata.Nfa.n_states (Rpq.nfa query) = 0)
+                 || Option.map snd (snd (List.nth runs 1)) = Some true)
+              && Option.map fst (eval_view first_view) = Some (List.hd expected_after))
         in
         let dfa_ok =
           let module Dfa = Gps_automata.Dfa in
