@@ -1,8 +1,8 @@
 #!/usr/bin/env bash
 # Out-of-core smoke: pack a million-node graph, serve it mmap-backed
 # under an explicit address-space budget, storm it with a seeded query
-# mix over TCP, exercise overlay ingest, and check the out-of-core
-# counters.
+# mix over TCP, exercise overlay ingest and a resumed evaluation, and
+# check the out-of-core counters.
 #
 # Gates on CORRECTNESS ONLY — zero storm errors, cache semantics,
 # counter values. Never on latency: numbers from shared CI runners are
@@ -86,8 +86,8 @@ assert not o["errors"], o["errors"]
 print(f"ok: storm {o['received']}/{o['sent']} answered, zero errors")
 PY
 
-echo "== overlay ingest + label-aware invalidation, answers byte-stable"
-python3 - "$PORT" "$DIR/big.csr" <<'PY'
+echo "== overlay ingest + label-aware invalidation, answers byte-stable, resumed runs"
+python3 - "$PORT" "$DIR/big.csr" "$SERVER_PID" <<'PY'
 import json, socket, sys
 
 sock = socket.create_connection(("127.0.0.1", int(sys.argv[1])))
@@ -95,6 +95,13 @@ f = sock.makefile("rw")
 def rpc(obj):
     f.write(json.dumps(obj) + "\n"); f.flush()
     return json.loads(f.readline())
+
+def vm_hwm_kb():
+    with open(f"/proc/{sys.argv[3]}/status") as st:
+        for line in st:
+            if line.startswith("VmHWM:"):
+                return int(line.split()[1])
+    return -1
 
 # remap the file: bumps the version, so storm-era cache entries are
 # gone and the invalidation counts below are exact
@@ -106,6 +113,7 @@ first = rpc(q)
 assert first["ok"], first
 warm = rpc(q)
 assert warm["cache"] == "hit", warm
+hwm_before = vm_hwm_kb()
 
 # a delta on a fresh label: disjoint from every query alphabet, so the
 # warm non-nullable entry must survive
@@ -123,6 +131,20 @@ again = rpc(q)
 assert again["cache"] == "miss", again
 assert again["nodes"] == first["nodes"], "answer changed across a no-op delta"
 print(f"ok: ingest invalidated {r['invalidated']} entry(ies), answers stable")
+
+# an a.c path through two new nodes, p5 -a-> p6 -c-> p5: the re-query
+# continues the membership the last miss left instead of re-running the
+# product over 10^6 nodes, and p5 joins the answer
+r = rpc({"op": "add_edges", "graph": "big", "edges": [["p5", "a", "p6"], ["p6", "c", "p5"]]})
+assert r["ok"] and r["added"] == 2 and r["new_nodes"] == 2 and r["invalidated"] >= 1, r
+resumed = rpc(dict(q, explain=True))
+assert resumed["cache"] == "miss", resumed
+assert "p5" in resumed["nodes"] and "p6" not in resumed["nodes"], "new a.c source missing"
+assert sorted(set(resumed["nodes"]) - {"p5"}) == sorted(first["nodes"]), "resumed answer differs"
+assert resumed["explain"].get("resumed") is True, resumed["explain"]
+hwm_after = vm_hwm_kb()
+print(f"ok: resumed run after the a.c batch ({resumed['explain']['frontier_visits']} frontier visits), "
+      f"p5 selected; server VmHWM {hwm_before} kB before the writes, {hwm_after} kB after")
 PY
 
 echo "== out-of-core counters"
@@ -133,10 +155,10 @@ m = json.load(open(sys.argv[1]))
 gauges = m["trace"]["gauges"]
 counters = m["trace"]["counters"]
 assert gauges["catalog.file_backed"] == 1, gauges
-assert gauges["graph.overlay_edges"] == 2, gauges
+assert gauges["graph.overlay_edges"] == 4, gauges
 assert counters["qcache.delta_invalidations"] >= 1, counters
 assert m["cache"]["delta_invalidations"] >= 1, m["cache"]
-print("ok: catalog.file_backed=1 graph.overlay_edges=2 "
+print("ok: catalog.file_backed=1 graph.overlay_edges=4 "
       f"qcache.delta_invalidations={counters['qcache.delta_invalidations']}")
 PY
 
