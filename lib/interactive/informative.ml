@@ -49,6 +49,8 @@ module Memo = struct
     t.vals.(i) <- v;
     t.size <- t.size + 1;
     if 2 * t.size > Array.length t.keys then grow t
+
+  let copy t = { keys = Array.copy t.keys; vals = Array.copy t.vals; size = t.size }
 end
 
 (* Marks a row not yet computed and a node without a witness. *)
@@ -92,6 +94,29 @@ let create g ~bound =
 
 let graph t = t.graph
 let release t = t.live <- None
+
+(* Every mutable table is copied, work arrays and [clock] with its
+   [stamp] included, so the copy goes on exactly as the original would.
+   What never changes once built is shared: the successor index, the
+   singletons, the node masks, and each row and member array. *)
+let copy_tables tb =
+  {
+    tb with
+    sets = Subset.copy tb.sets;
+    rows = Array.copy tb.rows;
+    masks = Array.copy tb.masks;
+    memo = Memo.copy tb.memo;
+    wit = Array.copy tb.wit;
+    tag = Array.copy tb.tag;
+    score = Array.copy tb.score;
+    heap = Array.copy tb.heap;
+    prio = Array.copy tb.prio;
+    cursor = Array.copy tb.cursor;
+    stamp = Array.copy tb.stamp;
+    buf = Array.copy tb.buf;
+  }
+
+let copy t = { t with live = Option.map copy_tables t.live }
 
 let build g bound =
   let n = Digraph.n_nodes g and n_labels = Digraph.n_labels g in

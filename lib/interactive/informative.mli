@@ -8,10 +8,11 @@
     implied by propagation are likewise uninformative.
 
     All checks are length-bounded ([bound]) as in the paper's practical
-    strategies. A scorer [t] belongs to one session: it counts uncovered
-    words with a dynamic program over interned node subsets, memoized on
-    (walk frontier, negative frontier, remaining length) for the life of
-    the session, and caches per node the last witness word and the last
+    strategies. A scorer [t] belongs to one session (a forked session
+    gets a {!copy}): it counts uncovered words with a dynamic program
+    over interned node subsets, memoized on (walk frontier, negative
+    frontier, remaining length) for the life of the session, and caches
+    per node the last witness word and the last
     score together with the negative set it was computed under. Every
     cached fact is either independent of the negatives or tagged with
     them, so answers are exact for any negative set, in any order —
@@ -24,6 +25,12 @@ val create : Gps_graph.Digraph.t -> bound:int -> t
     built on first use. The graph must not change while it is in use. *)
 
 val graph : t -> Gps_graph.Digraph.t
+
+val copy : t -> t
+(** A scorer in the same state that shares nothing mutable with [t]:
+    each answers afterwards exactly as [t] alone would, and using one
+    never changes the other. Reading [t] is all it does, so several
+    threads may copy one scorer that none of them uses. *)
 
 val release : t -> unit
 (** Drop the tables (a finished session calls this). A later call

@@ -159,6 +159,12 @@ let start ?(config = default_config) ~strategy g =
   in
   next_question t
 
+let fork t = { t with scorer = Informative.copy t.scorer }
+
+let with_budget t budget =
+  let t = { t with config = { t.config with max_questions = budget } } in
+  if over_budget t then finish t Budget_exhausted else t
+
 let bump_labels t = { t with counters = { t.counters with labels = t.counters.labels + 1 } }
 let bump_zooms t = { t with counters = { t.counters with zooms = t.counters.zooms + 1 } }
 

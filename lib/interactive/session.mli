@@ -52,9 +52,26 @@ type request =
 type t
 
 val start : ?config:config -> strategy:Strategy.t -> Gps_graph.Digraph.t -> t
-(** Every state derived from this one shares one {!Informative.t} scorer,
-    whose caches never change an answer (undo and replay stay exact);
-    its tables are dropped when the session finishes. *)
+(** Every state derived from this one shares one {!Informative.t} scorer
+    (a {!fork} gets a copy), whose caches never change an answer (undo
+    and replay stay exact); its tables are dropped when the session
+    finishes. *)
+
+val fork : t -> t
+(** A copy of [t] with a copy of its scorer ({!Informative.copy}); every
+    other part of a session is immutable. The fork and [t] then answer
+    exactly as [t] alone would, and stepping one never changes the
+    other. The strategy is shared: a strategy with state of its own
+    ({!Strategy.random}'s generator) advances for every fork that picks
+    a node, so fork such a session at most once. *)
+
+val with_budget : t -> int option -> t
+(** [with_budget t b] puts [t] under the budget [b] ([max_questions])
+    and finishes it with [Budget_exhausted] if [b] is already spent.
+    On a fork of [start ~config ~strategy g] (with no budget in
+    [config]) it gives exactly [start ~config:{ config with max_questions
+    = b } ~strategy g]: the first question does not depend on the
+    budget, which only stops a session before it asks. *)
 
 val request : t -> request
 

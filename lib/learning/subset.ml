@@ -61,6 +61,8 @@ let create () =
   ignore (intern t [||]);
   t
 
+let copy t = { members = Array.copy t.members; count = t.count; slots = Array.copy t.slots }
+
 let of_list t l = intern t (Array.of_list (List.sort_uniq Int.compare l))
 let elements t id = t.members.(id)
 

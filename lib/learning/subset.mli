@@ -28,3 +28,7 @@ val elements : t -> int -> int array
 
 val included : t -> int -> int -> bool
 (** [included t a b]: is set [a] a subset of set [b]? *)
+
+val copy : t -> t
+(** A table with the same ids for the same sets, interning on its own
+    from now on. It shares the member arrays, which never change. *)

@@ -141,15 +141,19 @@ type start =
    they are big enough; a finished run clears the bits it set and puts
    them back, a run that raises drops them, and a run that finds the
    slot empty (another run holds it) allocates its own. A run that keeps
-   its membership (a seeded run, or [keep]) uses the pooled queue only. *)
+   its membership (a seeded run, or [keep]) uses the pooled queue only.
+   New ones are sized up to a power of two, so a graph that grows by a
+   few nodes keeps fitting the pool. *)
 type scratch = { queue : int array; mem : Bitset.t }
 
 let pool : scratch option Atomic.t = Atomic.make None
 
+let rec pow2_above k n = if k >= n then k else pow2_above (2 * k) n
+
 let take_scratch ~states ~space =
   match Atomic.exchange pool None with
   | Some s when Array.length s.queue >= states && Bitset.length s.mem >= space -> s
-  | _ -> { queue = Array.make (max states 1) 0; mem = Bitset.create space }
+  | _ -> { queue = Array.make (pow2_above 1 states) 0; mem = Bitset.create (pow2_above 1 space) }
 
 (* The kernel scans the packed cells of a [Csr.t] inline (a heap freeze
    or a mapped base) and [extra]'s edges through callbacks built once

@@ -5,13 +5,15 @@ module Disk_csr = Gps_graph.Disk_csr
 (* level gauge: how many catalog entries are currently mmap-backed *)
 let g_file_backed = Gps_obs.Gauge.make "catalog.file_backed"
 
+type template = Gps_interactive.Session.t option Atomic.t
+
 type backing =
-  | Heap of { graph : Digraph.t; csr : Csr.t; order : int array }
+  | Heap of { graph : Digraph.t; csr : Csr.t; order : int array; template : template }
   | File of {
       disk : Disk_csr.t;
       file : string;
       lock : Mutex.t;
-      mutable heap : (Digraph.t * int) option;
+      mutable heap : (Digraph.t * int * template) option;
     }
 
 type entry = { name : string; version : int; backing : backing }
@@ -53,7 +55,7 @@ let put t ~name graph =
   (* a merge sort over a plain array: about half the time of
      [Array.sort] through [node_name] on a 3 000-node graph *)
   Array.stable_sort (fun a b -> String.compare names.(a) names.(b)) order;
-  install t name (Heap { graph; csr; order })
+  install t name (Heap { graph; csr; order; template = Atomic.make None })
 
 let put_file t ~name path =
   match Disk_csr.open_map path with
@@ -121,9 +123,9 @@ let known_label e base =
 let overlay_edges e =
   match e.backing with Heap _ -> 0 | File { disk; _ } -> Disk_csr.overlay_edges disk
 
-let graph e =
+let template e =
   match e.backing with
-  | Heap { graph; _ } -> graph
+  | Heap { graph; template; _ } -> (graph, template)
   | File ({ disk; lock; _ } as f) ->
       Mutex.lock lock;
       Fun.protect
@@ -132,11 +134,14 @@ let graph e =
           let v = Disk_csr.snapshot disk in
           let stamp = Disk_csr.view_overlay_edges v in
           match f.heap with
-          | Some (g, s) when s = stamp -> g
+          | Some (g, s, template) when s = stamp -> (g, template)
           | _ ->
               let g = Disk_csr.to_digraph v in
-              f.heap <- Some (g, stamp);
-              g)
+              let template = Atomic.make None in
+              f.heap <- Some (g, stamp, template);
+              (g, template))
+
+let graph e = fst (template e)
 
 let add_edges e triples =
   match e.backing with

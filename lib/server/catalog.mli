@@ -24,21 +24,28 @@
 
     All operations are thread-safe (one internal mutex; entries are
     immutable once published — the [File] overlay and memo mutate behind
-    their own locks). *)
+    their own locks, and a template slot is filled once, by
+    compare-and-set). *)
+
+type template = Gps_interactive.Session.t option Atomic.t
+(** The slot for one graph's template session: [None] until the first
+    smart session start on that graph computes it, then that session,
+    never replaced (see {!Server}). *)
 
 type backing =
   | Heap of {
       graph : Gps_graph.Digraph.t;
       csr : Gps_graph.Csr.t;
       order : int array;  (** every node id, sorted by name under [String.compare] *)
+      template : template;  (** [graph]'s *)
     }
   | File of {
       disk : Gps_graph.Disk_csr.t;
       file : string;  (** the packed file's path *)
       lock : Mutex.t;  (** guards [heap] *)
-      mutable heap : (Gps_graph.Digraph.t * int) option;
+      mutable heap : (Gps_graph.Digraph.t * int * template) option;
           (** memoized materialization, stamped with the overlay edge
-              count it reflects *)
+              count it reflects, and its template slot *)
     }
 
 type entry = {
@@ -105,6 +112,13 @@ val graph : entry -> Gps_graph.Digraph.t
 (** The full heap graph. Free for heap entries; file entries materialize
     (base + overlay) on first use and memoize until the overlay grows.
     Sessions and learning go through this — the query path never does. *)
+
+val template : entry -> Gps_graph.Digraph.t * template
+(** {!graph} together with the template slot of that very graph. A heap
+    entry has one slot, as it has one graph that is never mutated; a
+    reload installs a new entry and so a new slot. A file entry's slot
+    belongs to its memoized materialization, so the first call after
+    the overlay grew returns a fresh, empty one. *)
 
 val add_edges :
   entry -> (string * string * string) list -> (Gps_graph.Disk_csr.delta, string) result

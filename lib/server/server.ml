@@ -533,15 +533,43 @@ let do_learn t graph pos neg deadline_ms =
   | Gps_learning.Learner.Failed f ->
       fail "inconsistent" "%s" (Format.asprintf "%a" (Gps_learning.Learner.pp_failure g) f)
 
-let do_session_start t graph strategy seed budget =
+(* Every smart start on one graph asks the same first question, after
+   the same scoring. So the session that [S.start] returns there with
+   the default config and no budget, the graph's template, is computed
+   by the first start and then forked by every start: a fork is in
+   exactly the state its own first step would have left, so every later
+   step, work-cap outcomes included, is unchanged (DESIGN §15). The
+   template itself is never stepped. Two first starts that race both
+   compute one and the first to publish wins. Other strategies start
+   fresh: random's generator is state of its own, and only smart's
+   first step scores nodes. Each start opens one session.start span. *)
+let start_state entry strategy strat budget =
+  if strategy <> "smart" then
+    let config = { S.default_config with S.max_questions = budget } in
+    (S.start ~config ~strategy:strat (Catalog.graph entry), "computed")
+  else
+    let g, slot = Catalog.template entry in
+    let fork template = S.with_budget (S.fork template) budget in
+    match Atomic.get slot with
+    | Some template -> (Trace.with_span "session.start" (fun _ -> fork template), "shared")
+    | None ->
+        let template = S.start ~strategy:strat g in
+        ignore (Atomic.compare_and_set slot None (Some template));
+        (fork template, "computed")
+
+let do_session_start t ?ev graph strategy seed budget =
   let entry = graph_entry t graph in
   let strat =
     match Gps_interactive.Strategy.by_name ~seed strategy with
     | Ok s -> s
     | Error msg -> fail "bad-request" "%s" msg
   in
-  let config = { S.default_config with S.max_questions = budget } in
-  let state = S.start ~config ~strategy:strat (Catalog.graph entry) in
+  let state, first_step = start_state entry strategy strat budget in
+  Option.iter
+    (fun w ->
+      Wide_event.set_str w "graph" graph;
+      Wide_event.set_str w "first_step" first_step)
+    ev;
   let e = Sessions.start t.sessions entry state in
   (match t.dur with
   | None -> ()
@@ -949,7 +977,7 @@ let handle t ?ev req =
         do_query t ?ev graph query explain deadline_ms
     | P.Learn { graph; pos; neg; deadline_ms } -> do_learn t graph pos neg deadline_ms
     | P.Session_start { graph; strategy; seed; budget } ->
-        do_session_start t graph strategy seed budget
+        do_session_start t ?ev graph strategy seed budget
     | P.Session_show { session } -> on_session t session (fun e -> session_response t e)
     | P.Session_label { session; positive } -> do_session_label t session positive
     | P.Session_zoom { session } -> do_session_zoom t session

@@ -395,6 +395,8 @@ type dialog_case = {
   goal : int;
   other_goal : int;
   seed : int;
+  strategy : int;  (* 0 smart, 1 degree, 2 sequential, 3 random; for the fork cases *)
+  budget : int option;  (* the fork cases' budget *)
 }
 
 let dialog_goals = [| "a"; "b.c"; "(a+b)*.c"; "a.b*"; "c*.a"; "b" |]
@@ -420,8 +422,9 @@ let arb_dialog_case =
   let open QCheck in
   make
     ~print:(fun c ->
-      Printf.sprintf "n=%d bound=%d user=%d goal=%d/%d seed=%d edges=[%s]" c.n c.bound c.user
-        c.goal c.other_goal c.seed
+      Printf.sprintf "n=%d bound=%d user=%d goal=%d/%d seed=%d strategy=%d budget=%s edges=[%s]"
+        c.n c.bound c.user c.goal c.other_goal c.seed c.strategy
+        (match c.budget with None -> "none" | Some b -> string_of_int b)
         (String.concat "; "
            (List.map (fun (s, l, d) -> Printf.sprintf "%d-%c->%d" s "abc".[l] d) c.edges)))
     Gen.(
@@ -436,7 +439,9 @@ let arb_dialog_case =
       let* goal = int_bound (Array.length dialog_goals - 1) in
       let* other_goal = int_bound (Array.length dialog_goals - 1) in
       let* seed = int_bound 10_000 in
-      return { n; edges; bound; user; goal; other_goal; seed })
+      let* strategy = int_bound 3 in
+      let* budget = oneofl [ None; Some 0; Some 1; Some 3 ] in
+      return { n; edges; bound; user; goal; other_goal; seed; strategy; budget })
 
 (* A random walk through one dialog: the user's answers, with an undo
    one step in six. Checks every state; returns the states of the
@@ -519,9 +524,90 @@ let interleaving_agrees c g =
   in
   both (start ()) (start ()) 25 [] [] = (alone user_a, alone user_b)
 
+(* The fork cases: a session forked from a template (a session just
+   started with no budget, never stepped) and put under a budget must
+   go on exactly as the same session started fresh, step by step: its
+   view, questions, counters and halt reason, and the scoring work of
+   each step. Strategies are made fresh for every session. *)
+
+let c_scores = Gps_obs.Counter.make "informative.scores"
+let c_entries = Gps_obs.Counter.make "informative.memo_entries"
+
+let reason s =
+  match Session.request s with
+  | Session.Finished { Session.reason = r; _ } -> (
+      match r with
+      | Session.Satisfied -> "satisfied"
+      | Session.No_informative_nodes -> "no-informative-nodes"
+      | Session.Budget_exhausted -> "budget-exhausted"
+      | Session.Inconsistent _ -> "inconsistent"
+      | Session.Interrupted _ -> "interrupted")
+  | Session.Ask_label _ | Session.Ask_path _ | Session.Propose _ -> ""
+
+let observe g s work = (summary g s, reason s, Session.questions s, Session.counters s, work)
+
+type dialog = {
+  g : Digraph.t;
+  user : Oracle.user;
+  mutable s : Session.t;
+  mutable seen : (string * string * int * Session.counters * (int * int)) list;
+}
+
+let dialog g user s = { g; user; s; seen = [ observe g s (0, 0) ] }
+
+(* One answer, recording what the new state shows and the scores and
+   memo entries the step added. *)
+let step d =
+  let scores = Gps_obs.Counter.value c_scores and entries = Gps_obs.Counter.value c_entries in
+  d.s <- advance d.g d.user d.s;
+  let work =
+    (Gps_obs.Counter.value c_scores - scores, Gps_obs.Counter.value c_entries - entries)
+  in
+  d.seen <- observe d.g d.s work :: d.seen
+
+let forks_agree c g =
+  let config budget =
+    { Session.default_config with Session.bound = c.bound; max_questions = budget }
+  in
+  let strategy () =
+    match c.strategy with
+    | 0 -> Strategy.smart
+    | 1 -> Strategy.max_degree
+    | 2 -> Strategy.sequential
+    | _ -> Strategy.random ~seed:c.seed
+  in
+  let fresh budget = Session.start ~config:(config budget) ~strategy:(strategy ()) g in
+  let template () = fresh None in
+  let fork t budget = Session.with_budget (Session.fork t) budget in
+  let user_a () = case_user c ~kind:0 ~goal:c.goal
+  and user_b () = case_user c ~kind:c.user ~goal:c.other_goal in
+  let alone user s =
+    let d = dialog g (user ()) s in
+    for _ = 1 to 25 do
+      step d
+    done;
+    d.seen
+  in
+  let forked = alone user_b (fork (template ()) c.budget) in
+  forked = alone user_b (fresh c.budget)
+  (* two forks of one template share its strategy, and random's
+     generator is state of its own: only one fork of a random session
+     may pick nodes *)
+  && (c.strategy = 3
+     ||
+     let t = template () in
+     let a = dialog g (user_a ()) (fork t None) and b = dialog g (user_b ()) (fork t c.budget) in
+     for _ = 1 to 25 do
+       step a;
+       step b
+     done;
+     (a.seen, b.seen) = (alone user_a (fresh None), forked))
+
 let dialog_property =
   QCheck.Test.make
-    ~name:"smart equals enumeration reference along dialogs with undo, replay and interleaving"
+    ~name:
+      "smart equals enumeration reference along dialogs with undo, replay, interleaving and \
+       forks"
     ~count:200 arb_dialog_case (fun c ->
       let g = case_graph c in
       match random_dialog c g with
@@ -532,7 +618,8 @@ let dialog_property =
             | Ok j -> j
             | Error e -> failwith e
           in
-          summary g (replay c g journal) = summary g final && interleaving_agrees c g)
+          summary g (replay c g journal) = summary g final
+          && interleaving_agrees c g && forks_agree c g)
 
 let propagate_property =
   let open QCheck in

@@ -617,6 +617,39 @@ let test_resume_interrupted () =
       check Alcotest.bool "entry dropped: fresh run" false r.Eval.resumed;
       check Alcotest.(list string) "exact" (reference_names g ([ ("w", "b", "z") ] @ b2) q) (view_names v sel))
 
+(* The kernel's pooled queue holds one slot per product state. Sized
+   exactly, it would be too small for the run after a batch that adds
+   nodes, which would then allocate a whole new n·m-word queue. The
+   graph is larger than any other test's, so the pool holds this
+   test's own queue when the resumed run starts. *)
+let test_resume_fits_pooled_scratch () =
+  let n = 40_000 in
+  let path = temp_csr () in
+  Fun.protect
+    ~finally:(fun () -> cleanup path)
+    (fun () ->
+      Disk.pack_stream ~path ~n_nodes:n ~n_edges:2 ~node_name:(Printf.sprintf "v%d")
+        ~labels:[| "a"; "b" |]
+        ~iter_edges:(fun f ->
+          f ~src:0 ~label:0 ~dst:1;
+          f ~src:1 ~label:1 ~dst:2);
+      let d = open_ok path in
+      let q = parse "a.b" in
+      ignore (Disk.add_edges d [ ("v5", "a", "v1") ]);
+      ignore (expect_run "record" (run_mapped (Disk.snapshot d) q));
+      let delta = Disk.add_edges d [ ("n1", "a", "n2"); ("n2", "b", "v3") ] in
+      check Alcotest.int "two new nodes" 2 delta.Disk.new_nodes;
+      let v = Disk.snapshot d in
+      let before = Gc.allocated_bytes () in
+      let sel, r = expect_run "resumed" (run_mapped v q) in
+      let allocated = Gc.allocated_bytes () -. before in
+      check Alcotest.bool "resumed" true r.Eval.resumed;
+      check Alcotest.(list string) "answer" [ "n1"; "v0"; "v5" ] (view_names v sel);
+      let queue_bytes = Sys.word_size / 8 * n * r.Eval.automaton_states in
+      if allocated >= float_of_int queue_bytes then
+        Alcotest.failf "the resumed run allocated %.0f bytes, not under the %d-byte queue"
+          allocated queue_bytes)
+
 (* a permutation of [a.b]'s automaton prints as [a.b] too, but its bits
    mean other states: the two must not share an entry *)
 let test_resume_keyed_by_automaton () =
@@ -1111,6 +1144,8 @@ let suite =
         Alcotest.test_case "resumed runs: answers, reports, older views" `Quick test_resume_views;
         Alcotest.test_case "resumed two-way runs" `Quick test_resume_twoway;
         Alcotest.test_case "an interrupted resume drops its entry" `Quick test_resume_interrupted;
+        Alcotest.test_case "a resume after new nodes fits the pooled queue" `Quick
+          test_resume_fits_pooled_scratch;
         Alcotest.test_case "resumed runs under concurrent writes" `Quick test_resume_concurrent;
         Alcotest.test_case "live entries are keyed by the automaton" `Quick
           test_resume_keyed_by_automaton;

@@ -861,6 +861,208 @@ let wrong_shape_cases () =
       "{\"op\":\"session-show\",\"session\":1.5}";
     ]
 
+
+(* ------------------------------------------------------------------ *)
+(* shared first questions: smart starts fork a per-graph template *)
+
+let c_scores = Gps_obs.Counter.make "informative.scores"
+let c_entries = Gps_obs.Counter.make "informative.memo_entries"
+
+let load_text t name g =
+  match Srv.handle t (P.Load { name; source = P.Text (Gps.Graph.Codec.to_string g) }) with
+  | P.Loaded _ -> ()
+  | r -> Alcotest.failf "expected loaded, got %s" (P.response_to_string r)
+
+let selection t graph query =
+  let _, nodes, _ =
+    expect_answer (Srv.handle t (P.Query { graph; query; explain = false; deadline_ms = None }))
+  in
+  nodes
+
+(* A response as bytes, with the session id blanked so that dialogs of
+   different sessions compare byte for byte. *)
+let dialog_bytes = function
+  | P.Session { view; _ } -> P.response_to_string (P.Session { session = 0; view })
+  | r -> P.response_to_string r
+
+(* A deterministic user at the wire: "yes" on the nodes of [goal], the
+   suggested path, and acceptance of a proposal selecting exactly
+   [goal]. Returns every response of the dialog, the start's first. *)
+let wire_dialog ?(yield = false) t ~graph ?(strategy = "smart") ?(seed = 0) ?budget goal =
+  let sid, _ = expect_session (Srv.handle t (P.Session_start { graph; strategy; seed; budget })) in
+  let rec go r k acc =
+    if yield then Thread.yield ();
+    let acc = dialog_bytes r :: acc in
+    let next req = go (Srv.handle t req) (k - 1) acc in
+    match r with
+    | _ when k = 0 -> List.rev acc
+    | P.Session { view = P.Ask_label { node; _ }; _ } ->
+        next (P.Session_label { session = sid; positive = List.mem node goal })
+    | P.Session { view = P.Ask_path _; _ } -> next (P.Session_validate { session = sid; path = None })
+    | P.Session { view = P.Proposal { selects; _ }; _ } ->
+        next (P.Session_propose { session = sid; accept = P.Names.to_list selects = goal })
+    | _ -> List.rev acc
+  in
+  let transcript = go (Srv.handle t (P.Session_show { session = sid })) 40 [] in
+  ignore (Srv.handle t (P.Session_stop { session = sid }));
+  transcript
+
+let city_graph () = Gps.Graph.Generators.city (Gps.Graph.Generators.default_city ~districts:8) ~seed:3
+
+let test_template_shared_start () =
+  let t = fresh () in
+  load_text t "city" (city_graph ());
+  let goal = selection t "city" "(tram+bus)*.cinema" in
+  let first = wire_dialog t ~graph:"city" goal in
+  let scores = Gps_obs.Counter.value c_scores and entries = Gps_obs.Counter.value c_entries in
+  let sid, _ =
+    expect_session
+      (Srv.handle t (P.Session_start { graph = "city"; strategy = "smart"; seed = 0; budget = None }))
+  in
+  check Alcotest.int "a shared start scores no node" 0 (Gps_obs.Counter.value c_scores - scores);
+  check Alcotest.int "a shared start adds no memo entry" 0
+    (Gps_obs.Counter.value c_entries - entries);
+  ignore (Srv.handle t (P.Session_stop { session = sid }));
+  check Alcotest.(list string) "second dialog = first, byte for byte" first
+    (wire_dialog t ~graph:"city" goal);
+  List.iter
+    (fun budget ->
+      let alone = fresh () in
+      load_text alone "city" (city_graph ());
+      check Alcotest.(list string) "budgeted dialog = its run alone"
+        (wire_dialog alone ~graph:"city" ?budget goal)
+        (wire_dialog t ~graph:"city" ?budget goal))
+    [ Some 0; Some 1; Some 3 ]
+
+(* the wide event of a start names its graph and how its first question
+   was served *)
+let test_template_wide_event () =
+  let t = fresh () in
+  ignore (load_fig1 t);
+  let first_step strategy =
+    let ev = Gps_obs.Wide_event.create () in
+    let sid, _ =
+      expect_session
+        (Srv.handle t ~ev (P.Session_start { graph = "fig"; strategy; seed = 1; budget = None }))
+    in
+    ignore (Srv.handle t (P.Session_stop { session = sid }));
+    let field k = List.assoc_opt k (Gps_obs.Wide_event.fields ev) in
+    check Alcotest.bool "graph" true (field "graph" = Some (Gps_obs.Wide_event.Str "fig"));
+    match field "first_step" with
+    | Some (Gps_obs.Wide_event.Str s) -> s
+    | _ -> Alcotest.fail "no first_step field"
+  in
+  check Alcotest.string "first smart start" "computed" (first_step "smart");
+  check Alcotest.string "second smart start" "shared" (first_step "smart");
+  check Alcotest.string "random starts fresh" "computed" (first_step "random");
+  check Alcotest.string "degree starts fresh" "computed" (first_step "degree")
+
+(* a reload installs a new entry: its first start computes a new template *)
+let test_template_reload () =
+  let tiny = Gps.Graph.Codec.of_string "A go B\nB go C\nC stop D\nA stop C\n" in
+  let t = fresh () in
+  load_text t "x" (fig1 ());
+  let before = wire_dialog t ~graph:"x" [ "N2" ] in
+  load_text t "x" tiny;
+  let after = wire_dialog t ~graph:"x" [ "A" ] in
+  let alone = fresh () in
+  load_text alone "x" tiny;
+  check Alcotest.(list string) "after a reload = the new graph alone"
+    (wire_dialog alone ~graph:"x" [ "A" ]) after;
+  check Alcotest.bool "the two graphs ask different first questions" true
+    (List.hd before <> List.hd after)
+
+(* a file-backed entry's template goes with its materialization: the
+   first start after add_edges computes a new one *)
+let test_template_add_edges () =
+  let path = Filename.temp_file "gps_template" ".csr" in
+  Fun.protect
+    ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
+    (fun () ->
+      Gps_graph.Disk_csr.pack_digraph (fig1 ()) ~path;
+      let hub =
+        List.map (fun l -> ("HUB", l, "N2")) [ "bus"; "tram"; "cinema"; "restaurant" ]
+        @ [ ("HUB", "bus", "N1"); ("HUB", "tram", "N4") ]
+      in
+      let open_file t =
+        match Srv.handle t (P.Load_file { name = "f"; path }) with
+        | P.Loaded _ -> ()
+        | r -> Alcotest.failf "expected loaded, got %s" (P.response_to_string r)
+      in
+      let add t =
+        match Srv.handle t (P.Add_edges { graph = "f"; edges = hub }) with
+        | P.Edges_added _ -> ()
+        | r -> Alcotest.failf "expected edges-added, got %s" (P.response_to_string r)
+      in
+      let goal = [ "HUB"; "N2" ] in
+      let t = fresh () in
+      open_file t;
+      let before = wire_dialog t ~graph:"f" goal in
+      add t;
+      let after = wire_dialog t ~graph:"f" goal in
+      let alone = fresh () in
+      open_file alone;
+      add alone;
+      check Alcotest.(list string) "after add_edges = the grown graph alone"
+        (wire_dialog alone ~graph:"f" goal) after;
+      check Alcotest.bool "the grown graph asks another first question" true
+        (List.hd before <> List.hd after);
+      check Alcotest.(list string) "and shares it from then on" after (wire_dialog t ~graph:"f" goal))
+
+(* random's generator is its own state: its starts never share *)
+let test_template_random () =
+  let t = fresh () in
+  load_text t "city" (city_graph ());
+  let goal = selection t "city" "(tram+bus)*.cinema" in
+  let firsts =
+    List.map
+      (fun seed ->
+        let d = wire_dialog t ~graph:"city" ~strategy:"random" ~seed goal in
+        let alone = fresh () in
+        load_text alone "city" (city_graph ());
+        check Alcotest.(list string) (Printf.sprintf "random seed %d = its run alone" seed)
+          (wire_dialog alone ~graph:"city" ~strategy:"random" ~seed goal) d;
+        List.hd d)
+      [ 1; 2; 3; 1 ]
+  in
+  check Alcotest.bool "seeds ask different first questions" true
+    (List.length (List.sort_uniq compare firsts) > 1)
+
+(* four systhreads run dialogs on one graph at once, from before its
+   template exists: every transcript equals its dialog run alone *)
+let test_template_concurrent () =
+  let g = city_graph () in
+  let t = fresh () in
+  load_text t "city" g;
+  let dialogs =
+    [
+      ("(tram+bus)*.cinema", "smart", None);
+      ("bus.bus*", "smart", Some 3);
+      ("tram*.restaurant", "smart", None);
+      ("(tram+bus)*.cinema", "random", None);
+    ]
+  in
+  let goals = List.map (fun (q, _, _) -> selection t "city" q) dialogs in
+  let results = Array.make (List.length dialogs) [] in
+  let threads =
+    List.mapi
+      (fun i ((_, strategy, budget), goal) ->
+        Thread.create
+          (fun () ->
+            results.(i) <- wire_dialog ~yield:true t ~graph:"city" ~strategy ~seed:i ?budget goal)
+          ())
+      (List.combine dialogs goals)
+  in
+  List.iter Thread.join threads;
+  List.iteri
+    (fun i ((q, strategy, budget), goal) ->
+      let alone = fresh () in
+      load_text alone "city" g;
+      check Alcotest.(list string) (Printf.sprintf "%s dialog for %s" strategy q)
+        (wire_dialog alone ~graph:"city" ~strategy ~seed:i ?budget goal)
+        results.(i))
+    (List.combine dialogs goals)
+
 let suite =
   [
     ( "server.dispatch",
@@ -895,6 +1097,17 @@ let suite =
         Alcotest.test_case "slow-query log counts" `Quick test_slow_query_log;
         Alcotest.test_case "status endpoint" `Quick test_status_endpoint;
         Alcotest.test_case "tcp frontend, two connections" `Quick test_tcp;
+      ] );
+    ( "server.templates",
+      [
+        Alcotest.test_case "a second start shares the first's dialog" `Quick
+          test_template_shared_start;
+        Alcotest.test_case "session-start wide event" `Quick test_template_wide_event;
+        Alcotest.test_case "a reload computes a new template" `Quick test_template_reload;
+        Alcotest.test_case "add_edges computes a new template" `Quick test_template_add_edges;
+        Alcotest.test_case "random starts fresh" `Quick test_template_random;
+        Alcotest.test_case "concurrent dialogs equal their runs alone" `Quick
+          test_template_concurrent;
       ] );
     ("server.protocol", List.map QCheck_alcotest.to_alcotest qcheck_tests);
   ]
